@@ -1,20 +1,18 @@
 """Localisation of finite categories by a three-arrow calculus of fractions.
 
 The library verifies the denominator-structure axioms on explicit finite
-composition tables, builds the category of double fractions as a quotient
-of the three-arrow graph, and exhaustively validates the structural
-statements the construction is supposed to satisfy (well-definedness,
-universal property, the 3-by-3 equality criterion, saturation transfer,
-and transport of finite (co)products) on desk-scale instances.
+composition tables, builds the category of double fractions from the
+partition of three-arrows into fraction-equality classes, and exhaustively
+validates the structural statements the construction is supposed to
+satisfy (well-definedness, universal property, the 3-by-3 equality
+criterion, saturation transfer, and transport of finite (co)products) on
+desk-scale instances.
 """
 
 from .core import (
     DomainError,
     FinCategory,
-    FinGraph,
     FunctorTable,
-    GraphCongruence,
-    quotient_graph,
     validate_category,
     validate_functor,
 )

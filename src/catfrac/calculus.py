@@ -34,9 +34,8 @@ The nine commuting squares:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .core import DomainError, FinCategory
+from .core import DomainError
 from .denominators import DenominatorData
 from .three_arrows import (
     ThreeArrow,
@@ -46,20 +45,6 @@ from .three_arrows import (
     source_of,
     target_of,
 )
-
-
-@lru_cache(maxsize=None)
-def _solution_maps(cat: FinCategory):
-    """left[(y, w)] = all x with comp(x, y) == w; right[(x, w)] dually."""
-    left: dict[tuple[int, int], list[int]] = {}
-    right: dict[tuple[int, int], list[int]] = {}
-    for (x, y), w in cat.icomp.items():
-        left.setdefault((y, w), []).append(x)
-        right.setdefault((x, w), []).append(y)
-    for bucket in (left, right):
-        for key in bucket:
-            bucket[key].sort()
-    return left, right
 
 
 @dataclass(frozen=True)
@@ -126,7 +111,7 @@ def find_bridge(
     ``rows_normal`` restricts the two middle rows to normal three-arrows.
     """
     cat = dd.base
-    left_sol, right_sol = _solution_maps(cat)
+    left_sol, right_sol = cat.solution_maps()
     den, s_set, t_set = dd.iden, dd.is_, dd.it
     A1, A2 = cat.isrc[t1.f], cat.itgt[t1.f]
     B1, B2 = cat.isrc[t2.f], cat.itgt[t2.f]

@@ -1,4 +1,4 @@
-"""Finite categories, graphs and functors as explicit tables.
+"""Finite categories and functors as explicit tables.
 
 Everything is id-addressed: objects and morphisms are opaque strings taken
 from the input, mapped once to dense indices in input order.  All
@@ -14,7 +14,6 @@ All types here are immutable after construction; operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 
 class DomainError(ValueError):
@@ -92,6 +91,57 @@ class FinCategory:
             tuple(i for i in range(len(morphisms)) if self.itgt[i] == x)
             for x in range(len(objects))
         )
+        homs: dict[tuple[int, int], list[int]] = {}
+        for i, ends in enumerate(zip(self.isrc, self.itgt)):
+            homs.setdefault(ends, []).append(i)
+        # hom-sets by (source, target), in index order: a lookup, so that a
+        # search costs the same over the category and over its opposite
+        self._homs = {ends: tuple(members) for ends, members in homs.items()}
+        # derived tables, built on first use and kept with the category
+        self._opposite: FinCategory | None = None
+        self._solution_maps = None
+
+    def opposite(self) -> "FinCategory":
+        """The opposite category: same ids, every arrow and composite reversed.
+
+        Built once and kept on both sides, so ``cat.opposite().opposite()
+        is cat``.  Index order is unchanged, which makes every index-order
+        search over the opposite meet its candidates in the same order as
+        the dual search over ``cat``.
+        """
+        if self._opposite is None:
+            op = object.__new__(FinCategory)
+            op.__dict__.update(
+                self.__dict__,
+                name=f"{self.name}^op",
+                isrc=self.itgt,
+                itgt=self.isrc,
+                by_src=self.by_tgt,
+                by_tgt=self.by_src,
+                icomp={(j, i): k for (i, j), k in self.icomp.items()},
+                _homs={(y, x): h for (x, y), h in self._homs.items()},
+                _opposite=self,
+                _solution_maps=None,
+            )
+            self._opposite = op
+        return self._opposite
+
+    def solution_maps(self):
+        """left[(y, w)] = all x with comp(x, y) == w; right[(x, w)] dually.
+
+        Buckets are in index order; built on first use, then reused.
+        """
+        if self._solution_maps is None:
+            left: dict[tuple[int, int], list[int]] = {}
+            right: dict[tuple[int, int], list[int]] = {}
+            for (x, y), w in self.icomp.items():
+                left.setdefault((y, w), []).append(x)
+                right.setdefault((x, w), []).append(y)
+            for bucket in (left, right):
+                for key in bucket:
+                    bucket[key].sort()
+            self._solution_maps = left, right
+        return self._solution_maps
 
     # -- id-level accessors ------------------------------------------------
 
@@ -137,8 +187,8 @@ class FinCategory:
     def is_identity(self, i: int) -> bool:
         return self.iidentity[self.isrc[i]] == i
 
-    def hom(self, x: int, y: int) -> list[int]:
-        return [i for i in self.by_src[x] if self.itgt[i] == y]
+    def hom(self, x: int, y: int) -> tuple[int, ...]:
+        return self._homs.get((x, y), ())
 
     def table_equal(self, other: "FinCategory") -> bool:
         """Structural equality of all tables (ids and order included)."""
@@ -218,131 +268,6 @@ def validate_category(cat: FinCategory) -> list[Violation]:
                         )
                     )
     return report
-
-
-@dataclass(frozen=True)
-class FinGraph:
-    """A finite oriented graph: total src/tgt maps on arrow ids."""
-
-    objects: tuple[str, ...]
-    arrows: tuple[str, ...]
-    src: dict[str, str]
-    tgt: dict[str, str]
-
-    def __post_init__(self):
-        for a in self.arrows:
-            if a not in self.src or a not in self.tgt:
-                raise DomainError(f"arrow {a!r} lacks src/tgt")
-            if self.src[a] not in self.objects or self.tgt[a] not in self.objects:
-                raise DomainError(f"arrow {a!r} has unknown endpoints")
-
-
-@dataclass(frozen=True)
-class GraphMorphism:
-    obj_map: dict[str, str]
-    arrow_map: dict[str, str]
-    source: FinGraph
-    target: FinGraph
-
-    def is_valid(self) -> bool:
-        for a in self.source.arrows:
-            b = self.arrow_map.get(a)
-            if b is None or b not in self.target.src:
-                return False
-            if self.obj_map[self.source.src[a]] != self.target.src[b]:
-                return False
-            if self.obj_map[self.source.tgt[a]] != self.target.tgt[b]:
-                return False
-        return True
-
-
-class GraphCongruence:
-    """An equivalence on the arrows of a graph, relating only parallels."""
-
-    def __init__(self, base: FinGraph, classes: list[list[str]]):
-        self.base = base
-        seen: set[str] = set()
-        for cls in classes:
-            for a in cls:
-                if a not in base.src:
-                    raise DomainError(f"unknown arrow id {a!r}")
-                if a in seen:
-                    raise DomainError(f"arrow {a!r} in two classes")
-                seen.add(a)
-        # singletons for every arrow not mentioned
-        full = [list(cls) for cls in classes if cls]
-        full += [[a] for a in base.arrows if a not in seen]
-        self.classes = tuple(tuple(cls) for cls in full)
-        self._class_of = {a: k for k, cls in enumerate(self.classes) for a in cls}
-
-    def related(self, a: str, b: str) -> bool:
-        return self._class_of[a] == self._class_of[b]
-
-    def check_parallel(self) -> list[Violation]:
-        bad = []
-        for cls in self.classes:
-            a0 = cls[0]
-            for a in cls[1:]:
-                if (
-                    self.base.src[a] != self.base.src[a0]
-                    or self.base.tgt[a] != self.base.tgt[a0]
-                ):
-                    bad.append(Violation("non-parallel-related", (a0, a)))
-        return bad
-
-
-def quotient_graph(
-    g: FinGraph, cong: GraphCongruence
-) -> tuple[FinGraph, GraphMorphism]:
-    """Quotient by a graph congruence, plus the quotient graph morphism.
-
-    Objects are unchanged; arrows become congruence classes, named after
-    their first member in arrow order; endpoints are those of any
-    representative.
-    """
-    bad = cong.check_parallel()
-    if bad:
-        raise DomainError(f"not a graph congruence: {bad[0]}")
-    order = {a: i for i, a in enumerate(g.arrows)}
-    named = sorted(cong.classes, key=lambda cls: min(order[a] for a in cls))
-    arrow_map: dict[str, str] = {}
-    arrows, src, tgt = [], {}, {}
-    for cls in named:
-        rep = min(cls, key=lambda a: order[a])
-        cid = f"[{rep}]"
-        arrows.append(cid)
-        src[cid] = g.src[rep]
-        tgt[cid] = g.tgt[rep]
-        for a in cls:
-            arrow_map[a] = cid
-    q = FinGraph(g.objects, tuple(arrows), src, tgt)
-    return q, GraphMorphism({x: x for x in g.objects}, arrow_map, g, q)
-
-
-def factor_through_quotient(
-    f: GraphMorphism, cong: GraphCongruence
-) -> GraphMorphism:
-    """Factor a class-constant graph morphism through the quotient.
-
-    Raises DomainError when ``f`` is not constant on congruence classes.
-    """
-    q, quo = quotient_graph(f.source, cong)
-    arrow_map: dict[str, str] = {}
-    for cls in cong.classes:
-        images = {f.arrow_map[a] for a in cls}
-        if len(images) != 1:
-            raise DomainError(f"morphism not constant on class of {cls[0]!r}")
-        arrow_map[quo.arrow_map[cls[0]]] = images.pop()
-    return GraphMorphism(dict(f.obj_map), arrow_map, q, f.target)
-
-
-def underlying_graph(cat: FinCategory) -> FinGraph:
-    return FinGraph(
-        cat.objects,
-        cat.morphisms,
-        {f: cat.src_of(f) for f in cat.morphisms},
-        {f: cat.tgt_of(f) for f in cat.morphisms},
-    )
 
 
 @dataclass
@@ -426,27 +351,3 @@ def find_inverse(cat: FinCategory, f: str) -> str | None:
 
 def isomorphisms(cat: FinCategory) -> set[str]:
     return {f for f in cat.morphisms if find_inverse(cat, f) is not None}
-
-
-def all_graph_morphisms(g: FinGraph, h: FinGraph):
-    """Yield every graph morphism g -> h (desk-scale brute force)."""
-    if not g.objects:
-        yield GraphMorphism({}, {}, g, h)
-        return
-    if not h.objects:
-        return
-    h_arrows_by_ends: dict[tuple[str, str], list[str]] = {}
-    for a in h.arrows:
-        h_arrows_by_ends.setdefault((h.src[a], h.tgt[a]), []).append(a)
-    for obj_choice in product(h.objects, repeat=len(g.objects)):
-        obj_map = dict(zip(g.objects, obj_choice))
-        pools = []
-        for a in g.arrows:
-            pool = h_arrows_by_ends.get((obj_map[g.src[a]], obj_map[g.tgt[a]]), [])
-            if not pool:
-                break
-            pools.append(pool)
-        else:
-            for arrow_choice in product(*pools):
-                yield GraphMorphism(obj_map, dict(zip(g.arrows, arrow_choice)), g, h)
-            continue

@@ -60,6 +60,9 @@ class DenominatorData:
         self.s_sorted = tuple(sorted(self.is_))
         self.t_sorted = tuple(sorted(self.it))
         self._certificate: AxiomCertificate | None = None
+        # fraction partitions by generator variant, filled by
+        # three_arrows.fraction_equivalence
+        self.partitions: dict = {}
 
     def subset(self, which: str) -> frozenset[int]:
         return {"D": self.iden, "S": self.is_, "T": self.it}[which]
@@ -78,6 +81,13 @@ class DenominatorData:
     @property
     def t_ids(self) -> list[str]:
         return self.dump_ids(self.it)
+
+    def opposite(self) -> "DenominatorData":
+        """The same D over the opposite base, with S and T swapped."""
+        return DenominatorData(
+            self.base.opposite(), self.denominator_ids, self.t_ids, self.s_ids,
+            self.name,
+        )
 
     def certificate(self) -> "AxiomCertificate":
         """Axiom report incl. witness caches; computed once, then reused."""
@@ -175,7 +185,7 @@ def is_weak_pushout(cat: FinCategory, square: tuple[int, int, int, int]) -> bool
     """
     i, f, f2, i2 = square
     if cat.isrc[i] != cat.isrc[f]:
-        raise DomainError("square sides do not share a source")
+        raise DomainError("square sides do not share a corner")
     if (
         cat.isrc[f2] != cat.itgt[i]
         or cat.isrc[i2] != cat.itgt[f]
@@ -197,32 +207,12 @@ def is_weak_pushout(cat: FinCategory, square: tuple[int, int, int, int]) -> bool
 
 
 def is_weak_pullback(cat: FinCategory, square: tuple[int, int, int, int]) -> bool:
-    """Dual of :func:`is_weak_pushout`.
+    """Dual of :func:`is_weak_pushout`: a weak pushout in the opposite.
 
     ``square = (p, f, f2, p2)`` with comp(f2, p) == comp(p2, f); every cone
     (u, v) with comp(u, p) == comp(v, f) must factor through the corner.
     """
-    p, f, f2, p2 = square
-    if cat.itgt[p] != cat.itgt[f]:
-        raise DomainError("square sides do not share a target")
-    if (
-        cat.itgt[f2] != cat.isrc[p]
-        or cat.itgt[p2] != cat.isrc[f]
-        or cat.isrc[f2] != cat.isrc[p2]
-        or cat.icomp[(f2, p)] != cat.icomp[(p2, f)]
-    ):
-        raise DomainError("square does not commute")
-    corner = cat.isrc[f2]
-    for u in cat.by_tgt[cat.isrc[p]]:
-        for v in cat.by_tgt[cat.isrc[f]]:
-            if cat.isrc[u] != cat.isrc[v] or cat.icomp[(u, p)] != cat.icomp[(v, f)]:
-                continue
-            for w in cat.hom(cat.isrc[u], corner):
-                if cat.icomp[(w, f2)] == u and cat.icomp[(w, p2)] == v:
-                    break
-            else:
-                return False
-    return True
+    return is_weak_pushout(cat.opposite(), square)
 
 
 @dataclass
@@ -239,65 +229,51 @@ def check_WU(dd: DenominatorData) -> WUResult:
 
     The index-smallest completion passing the weak universal property is
     cached per pair; the pair goes to the failure list when no candidate
-    passes.
+    passes.  The pullback side is the pushout-side sweep of the opposite
+    structure, where T plays the part of S.
+    """
+    pushouts, failures = _pushout_completions(dd, "pushout-side")
+    pullbacks, dual_failures = _pushout_completions(dd.opposite(), "pullback-side")
+    failures += dual_failures
+    return WUResult(not failures, failures, pushouts, pullbacks)
+
+
+def _pushout_completions(dd: DenominatorData, kind: str):
+    """Pushout-side (WU) sweep over (i in S, f) pairs, in index order.
+
+    Returns the witness per pair and the (kind, i, f) failures.  Corners
+    are (shared source, tgt i, tgt f, completion corner).
     """
     cat = dd.base
-    pushouts: dict[tuple[int, int], OreWitness] = {}
-    pullbacks: dict[tuple[int, int], OreWitness] = {}
+    witnesses: dict[tuple[int, int], OreWitness] = {}
     failures: list[tuple[str, str, str]] = []
     for i in dd.s_sorted:
         for f in cat.by_src[cat.isrc[i]]:
-            key = (i, f)
-            target = None
-            for f2 in cat.by_src[cat.itgt[i]]:
-                for i2 in cat.by_src[cat.itgt[f]]:
-                    if i2 not in dd.is_ or cat.itgt[i2] != cat.itgt[f2]:
-                        continue
-                    if cat.icomp[(i, f2)] != cat.icomp[(f, i2)]:
-                        continue
-                    if is_weak_pushout(cat, (i, f, f2, i2)):
-                        target = OreWitness(
-                            "pushout-side",
-                            key,
-                            (f2, i2),
-                            (cat.isrc[i], cat.itgt[i], cat.itgt[f], cat.itgt[f2]),
-                        )
-                        break
-                if target:
-                    break
-            if target:
-                pushouts[key] = target
-            else:
-                failures.append(
-                    ("pushout-side", cat.morphisms[i], cat.morphisms[f])
+            found = _first_completion(dd, i, f)
+            if found:
+                corner = cat.itgt[found[0]]
+                witnesses[(i, f)] = OreWitness(
+                    kind, (i, f), found, (cat.isrc[i], cat.itgt[i], cat.itgt[f], corner)
                 )
-    for p in dd.t_sorted:
-        for f in cat.by_tgt[cat.itgt[p]]:
-            key = (p, f)
-            target = None
-            for f2 in cat.by_tgt[cat.isrc[p]]:
-                for p2 in cat.by_tgt[cat.isrc[f]]:
-                    if p2 not in dd.it or cat.isrc[p2] != cat.isrc[f2]:
-                        continue
-                    if cat.icomp[(f2, p)] != cat.icomp[(p2, f)]:
-                        continue
-                    if is_weak_pullback(cat, (p, f, f2, p2)):
-                        target = OreWitness(
-                            "pullback-side",
-                            key,
-                            (f2, p2),
-                            (cat.itgt[p], cat.isrc[p], cat.isrc[f], cat.isrc[f2]),
-                        )
-                        break
-                if target:
-                    break
-            if target:
-                pullbacks[key] = target
             else:
-                failures.append(
-                    ("pullback-side", cat.morphisms[p], cat.morphisms[f])
-                )
-    return WUResult(not failures, failures, pushouts, pullbacks)
+                failures.append((kind, cat.morphisms[i], cat.morphisms[f]))
+    return witnesses, failures
+
+
+def _first_completion(dd: DenominatorData, i: int, f: int):
+    """Index-smallest (f2, i2) with i2 in S making (i, f, f2, i2) a weak
+    pushout, or None."""
+    cat = dd.base
+    for f2 in cat.by_src[cat.itgt[i]]:
+        for i2 in cat.by_src[cat.itgt[f]]:
+            if (
+                i2 in dd.is_
+                and cat.itgt[i2] == cat.itgt[f2]
+                and cat.icomp[(i, f2)] == cat.icomp[(f, i2)]
+                and is_weak_pushout(cat, (i, f, f2, i2))
+            ):
+                return f2, i2
+    return None
 
 
 @dataclass
@@ -377,6 +353,9 @@ def check_uni_fractionable(dd: DenominatorData) -> AxiomCertificate:
     cert.items.append(
         ("(Base)", not base_report, str(base_report[0]) if base_report else None)
     )
+    if base_report:
+        # every later axiom reads the composition table as total and lawful
+        return cert
     ok, wit = is_multiplicative(dd, "D")
     cert.items.append(("(Cat)", ok, " ".join(wit[1:]) if wit else None))
     ok, wit = is_two_of_three(dd)

@@ -165,7 +165,7 @@ def compose_fractions(
 
 
 class FractionCategory:
-    """The quotient category of the three-arrow graph, fully tabulated."""
+    """The category of fraction-equality classes of three-arrows, fully tabulated."""
 
     def __init__(
         self,

@@ -14,7 +14,6 @@ stays one).  Its classes are the morphisms of the fraction category.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import DomainError
 from .denominators import DenominatorData
@@ -191,10 +190,13 @@ class FractionPartition:
         return len(self.groups)
 
 
-@lru_cache(maxsize=None)
 def fraction_equivalence(dd: DenominatorData, variant: str = "two-sided"):
-    """The (cached) partition of the three-arrows of ``dd``."""
-    return FractionPartition(dd, variant)
+    """The partition of the three-arrows of ``dd``, built once per variant
+    and kept on ``dd``, so it lives exactly as long as the structure."""
+    part = dd.partitions.get(variant)
+    if part is None:
+        part = dd.partitions[variant] = FractionPartition(dd, variant)
+    return part
 
 
 def is_denominator_class(

@@ -38,6 +38,12 @@ class CoproductData:
 
 @dataclass
 class ProductData:
+    """Chosen terminal object and pairwise products (object, proj1, proj2).
+
+    These are exactly chosen coproducts of the opposite category, which is
+    how every product check below is decided.
+    """
+
     terminal: str
     pairwise: dict[tuple[str, str], tuple[str, str, str]]
 
@@ -50,6 +56,10 @@ class ProductData:
                 for e in entries
             },
         )
+
+    def as_coproducts(self) -> CoproductData:
+        """The same table read as coproduct data of the opposite category."""
+        return CoproductData(self.terminal, self.pairwise)
 
 
 def _unique_mediators(cat: FinCategory, c: int, e1: int, e2: int, f1: int, f2: int):
@@ -99,45 +109,16 @@ def validate_coproducts(cat: FinCategory, cp: CoproductData) -> list[Violation]:
 
 
 def validate_products(cat: FinCategory, pd: ProductData) -> list[Violation]:
-    report: list[Violation] = []
-    if pd.terminal not in cat.obj_index:
-        return [Violation("unknown-terminal", (pd.terminal,))]
-    t0 = cat.obj_index[pd.terminal]
-    for x in range(cat.n_objects):
-        if len(cat.hom(x, t0)) != 1:
-            report.append(
-                Violation("terminal-not-unique", (pd.terminal, cat.objects[x]))
-            )
-    for y1 in cat.objects:
-        for y2 in cat.objects:
-            entry = pd.pairwise.get((y1, y2))
-            if entry is None:
-                report.append(Violation("missing-product", (y1, y2)))
-                continue
-            pobj, pr1, pr2 = entry
-            p = cat.obj_index[pobj]
-            q1, q2 = cat.mor_index[pr1], cat.mor_index[pr2]
-            if cat.isrc[q1] != p or cat.itgt[q1] != cat.obj_index[y1]:
-                report.append(Violation("projection-endpoints", (y1, y2, pr1)))
-                continue
-            if cat.isrc[q2] != p or cat.itgt[q2] != cat.obj_index[y2]:
-                report.append(Violation("projection-endpoints", (y1, y2, pr2)))
-                continue
-            for x in range(cat.n_objects):
-                for f1 in cat.hom(x, cat.obj_index[y1]):
-                    for f2 in cat.hom(x, cat.obj_index[y2]):
-                        mediators = [
-                            u
-                            for u in cat.hom(x, p)
-                            if cat.icomp[(u, q1)] == f1 and cat.icomp[(u, q2)] == f2
-                        ]
-                        if len(mediators) != 1:
-                            report.append(
-                                Violation(
-                                    "product-universal-property",
-                                    (y1, y2, cat.morphisms[f1], cat.morphisms[f2]),
-                                )
-                            )
+    """Exhaustive universal-property check; empty report iff valid.
+
+    Decided as the coproduct check of the opposite category, with the
+    violation codes renamed to their product duals.
+    """
+    report = validate_coproducts(cat.opposite(), pd.as_coproducts())
+    for word, dual in (
+        ("initial", "terminal"), ("coproduct", "product"), ("embedding", "projection")
+    ):
+        report = [Violation(v.code.replace(word, dual), v.ids) for v in report]
     return report
 
 
@@ -153,7 +134,7 @@ def coproduct_induced(cat: FinCategory, cp: CoproductData, x1: str, x2: str,
         f2,
     )
     if len(mediators) != 1:
-        raise DomainError(f"no unique mediator out of {x1} + {x2}")
+        raise DomainError(f"no unique mediator for the pair ({x1}, {x2})")
     return mediators[0]
 
 
@@ -172,28 +153,13 @@ def coproduct_of_morphisms(cat: FinCategory, cp: CoproductData,
 
 def product_induced(cat: FinCategory, pd: ProductData, y1: str, y2: str,
                     f1: int, f2: int) -> int:
-    pobj, pr1, pr2 = pd.pairwise[(y1, y2)]
-    p = cat.obj_index[pobj]
-    q1, q2 = cat.mor_index[pr1], cat.mor_index[pr2]
-    mediators = [
-        u
-        for u in cat.hom(cat.isrc[f1], p)
-        if cat.icomp[(u, q1)] == f1 and cat.icomp[(u, q2)] == f2
-    ]
-    if len(mediators) != 1:
-        raise DomainError(f"no unique mediator into {y1} x {y2}")
-    return mediators[0]
+    """The mediator into y1 x y2: the coproduct mediator of the opposite."""
+    return coproduct_induced(cat.opposite(), pd.as_coproducts(), y1, y2, f1, f2)
 
 
 def product_of_morphisms(cat: FinCategory, pd: ProductData, d: int, e: int) -> int:
-    x1, x2 = cat.objects[cat.isrc[d]], cat.objects[cat.isrc[e]]
-    _, pr1, pr2 = pd.pairwise[(x1, x2)]
-    return product_induced(
-        cat, pd,
-        cat.objects[cat.itgt[d]], cat.objects[cat.itgt[e]],
-        cat.icomp[(cat.mor_index[pr1], d)],
-        cat.icomp[(cat.mor_index[pr2], e)],
-    )
+    """d x e, the induced morphism between the chosen products."""
+    return coproduct_of_morphisms(cat.opposite(), pd.as_coproducts(), d, e)
 
 
 def denominators_closed_under_coproducts(
@@ -230,26 +196,9 @@ def denominators_closed_under_coproducts(
 def denominators_closed_under_products(
     dd: DenominatorData, pd: ProductData
 ) -> tuple[bool, tuple[str, str] | None]:
-    cat = dd.base
-    direct, witness = True, None
-    for d in dd.den_sorted:
-        for e in dd.den_sorted:
-            if product_of_morphisms(cat, pd, d, e) not in dd.iden:
-                direct, witness = False, (cat.morphisms[d], cat.morphisms[e])
-                break
-        if not direct:
-            break
-    shortcut = all(
-        product_of_morphisms(cat, pd, i, j) in dd.iden
-        for i in dd.s_sorted
-        for j in dd.s_sorted
-    ) and all(
-        product_of_morphisms(cat, pd, p, q) in dd.iden
-        for p in dd.t_sorted
-        for q in dd.t_sorted
-    )
-    assert direct == shortcut, "closure routes disagree"
-    return direct, witness
+    """Closure of D under morphism products: coproduct closure of the
+    opposite structure."""
+    return denominators_closed_under_coproducts(dd.opposite(), pd.as_coproducts())
 
 
 def check_localisation_preserves_coproducts(

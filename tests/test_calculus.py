@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from catfrac.calculus import (
@@ -101,6 +104,19 @@ def test_normal_strengthening(name, named):
                 witness.validate(dd)
                 assert is_normal(dd, witness.bridge.mid1)
                 assert is_normal(dd, witness.bridge.mid2)
+
+
+def test_caches_die_with_their_structure():
+    # partition and solution maps live on the structure, not in the module
+    dd = make_named("CH3")
+    part = fraction_equivalence(dd)
+    assert fraction_equivalence(dd) is part
+    t = part.arrows[0]
+    assert equal_by_3x3(dd, t, t)[0]
+    refs = (weakref.ref(dd), weakref.ref(dd.base))
+    del dd, part, t
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 # ------------------------------------------------------------------- flip

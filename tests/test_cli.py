@@ -170,6 +170,25 @@ def test_check_all_suites(ch3_file, capsys):
     assert "products-preserved PASS" in out
 
 
+def test_invalid_base_reports_base_failure(ch3_file, capsys):
+    doc = json.loads(open(ch3_file).read())
+    doc["composition"].remove(["m_0_1", "m_1_2", "m_0_2"])
+    with open(ch3_file, "w") as handle:
+        json.dump(doc, handle)
+    line = "(Base) FAIL witness missing-composite: (m_0_1, m_1_2)"
+    assert run(["axioms", ch3_file]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == [line]
+    assert run(["check", ch3_file, "--suite", "all"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        line,
+        "theorem SKIP (structure axioms fail)",
+        "transport SKIP (category laws fail)",
+    ]
+    assert "Traceback" not in captured.err
+
+
 def test_check_axioms_failure_exit(tmp_path):
     idem = tmp_path / "idem"
     run(["instance", "IDEM", "-o", str(idem)])

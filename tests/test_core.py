@@ -4,19 +4,12 @@ from hypothesis import given, settings, strategies as st
 from catfrac.core import (
     DomainError,
     FinCategory,
-    FinGraph,
     FunctorTable,
-    GraphCongruence,
-    GraphMorphism,
-    all_graph_morphisms,
-    factor_through_quotient,
     identity_functor,
-    quotient_graph,
-    underlying_graph,
     validate_category,
     validate_functor,
 )
-from catfrac.instances import chain, make_named, make_poset
+from catfrac.instances import NAMED, chain, make_named, make_poset
 
 
 def hand_built_ch3():
@@ -81,73 +74,17 @@ def test_compose_rejects_non_composable():
     assert "m_1_2" in str(err.value) and "m_0_1" in str(err.value)
 
 
-def test_discrete_congruence_quotient_is_arrow_bijective():
-    g = underlying_graph(make_named("CH3").base)
-    q, quo = quotient_graph(g, GraphCongruence(g, []))
-    assert len(q.arrows) == len(g.arrows)
-    assert quo.is_valid()
-
-
-def test_par_full_parallel_collapse():
-    g = underlying_graph(make_named("PAR").base)
-    q, quo = quotient_graph(g, GraphCongruence(g, [["f", "g"]]))
-    xy = [a for a in q.arrows if q.src[a] == "X" and q.tgt[a] == "Y"]
-    assert len(xy) == 1
-    assert quo.arrow_map["f"] == quo.arrow_map["g"]
-
-
-def test_non_parallel_congruence_rejected():
-    g = underlying_graph(make_named("CH3").base)
-    cong = GraphCongruence(g, [["m_0_1", "m_0_2"]])
-    with pytest.raises(DomainError):
-        quotient_graph(g, cong)
-
-
-def test_quotient_universal_property_exhaustive():
-    g = FinGraph(
-        ("A", "B"),
-        ("x", "y", "z"),
-        {"x": "A", "y": "A", "z": "B"},
-        {"x": "B", "y": "B", "z": "B"},
-    )
-    cong = GraphCongruence(g, [["x", "y"]])
-    q, quo = quotient_graph(g, cong)
-    h = FinGraph(
-        ("P", "Q", "R"),
-        ("a", "b", "c", "loop"),
-        {"a": "P", "b": "P", "c": "Q", "loop": "Q"},
-        {"a": "Q", "b": "Q", "c": "R", "loop": "Q"},
-    )
-    checked = 0
-    for fun in all_graph_morphisms(g, h):
-        if fun.arrow_map["x"] != fun.arrow_map["y"]:
-            continue
-        checked += 1
-        bar = factor_through_quotient(fun, cong)
-        assert bar.is_valid()
-        for a in g.arrows:
-            assert bar.arrow_map[quo.arrow_map[a]] == fun.arrow_map[a]
-        alternatives = [
-            other
-            for other in all_graph_morphisms(q, h)
-            if other.obj_map == fun.obj_map
-            and all(
-                other.arrow_map[quo.arrow_map[a]] == fun.arrow_map[a]
-                for a in g.arrows
-            )
-        ]
-        assert len(alternatives) == 1
-    assert checked > 0
-
-
-def test_factor_rejects_non_constant():
-    g = underlying_graph(make_named("PAR").base)
-    cong = GraphCongruence(g, [["f", "g"]])
-    fun = GraphMorphism(
-        {x: x for x in g.objects}, {a: a for a in g.arrows}, g, g
-    )
-    with pytest.raises(DomainError):
-        factor_through_quotient(fun, cong)
+@pytest.mark.parametrize("name", NAMED)
+def test_opposite_is_a_memoised_involution(name):
+    cat = make_named(name).base
+    op = cat.opposite()
+    assert op is cat.opposite()
+    assert op.opposite() is cat
+    assert validate_category(op) == []
+    for (i, j), k in cat.icomp.items():
+        assert op.icompose(j, i) == k
+    for f in cat.morphisms:
+        assert (op.src_of(f), op.tgt_of(f)) == (cat.tgt_of(f), cat.src_of(f))
 
 
 def test_identity_functor_validates():

@@ -115,7 +115,27 @@ def test_check_wu_examples(named):
     assert check_WU(named["PAR"]).ok
     result = check_WU(named["IDEM"])
     assert not result.ok
-    assert ("pushout-side", "e", "e") in result.failures
+    assert result.failures == [("pushout-side", "e", "e"), ("pullback-side", "e", "e")]
+
+
+@pytest.mark.parametrize("name", POSITIVE + ("IDEM",))
+def test_opposite_structure_swaps_s_and_t(name, named):
+    dd = named[name]
+    op = dd.opposite()
+    assert op.base is dd.base.opposite()
+    assert op.iden == dd.iden
+    assert (op.is_, op.it) == (dd.it, dd.is_)
+
+    def untagged(witnesses):
+        return {key: (w.given, w.completion, w.corners) for key, w in witnesses.items()}
+
+    result, dual = check_WU(dd), check_WU(op)
+    assert untagged(dual.pullbacks) == untagged(result.pushouts)
+    assert untagged(dual.pushouts) == untagged(result.pullbacks)
+    swap = {"pushout-side": "pullback-side", "pullback-side": "pushout-side"}
+    assert sorted((swap[side], i, f) for side, i, f in dual.failures) == sorted(
+        result.failures
+    )
 
 
 def test_check_wu_witnesses_revalidate(named):

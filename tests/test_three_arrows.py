@@ -1,6 +1,6 @@
 import pytest
 
-from catfrac.core import DomainError, GraphCongruence, quotient_graph, underlying_graph
+from catfrac.core import DomainError
 from catfrac.instances import make_monoid, make_named, make_poset
 from catfrac.three_arrows import (
     ThreeArrow,
@@ -227,24 +227,6 @@ def test_z4_common_denominator_distinct_b(named):
     s1, s2 = common_denominator(dd, t1, t2, "source")
     assert s1.b == s2.b
     assert part.same_class(t1, s1) and part.same_class(t2, s2)
-
-
-def test_fraction_quotient_graph_has_class_many_arrows(named):
-    dd = named["CH3"]
-    part = fraction_equivalence(dd)
-    g = underlying_graph(dd.base)
-    arrows = part.arrows
-    graph = type(g)(
-        g.objects,
-        tuple(t.ids(dd) for t in arrows),
-        {t.ids(dd): dd.base.objects[source_of(dd, t)] for t in arrows},
-        {t.ids(dd): dd.base.objects[target_of(dd, t)] for t in arrows},
-    )
-    classes = [
-        [arrows[i].ids(dd) for i in group] for group in part.groups
-    ]
-    q, _ = quotient_graph(graph, GraphCongruence(graph, classes))
-    assert len(q.arrows) == 7
 
 
 def test_parse_three_arrow(named):

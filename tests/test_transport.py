@@ -1,6 +1,6 @@
 import pytest
 
-from catfrac.core import DomainError
+from catfrac.core import DomainError, Violation
 from catfrac.fraction import build_fraction_category
 from catfrac.instances import (
     chain,
@@ -51,6 +51,22 @@ def test_planted_wrong_embedding_reported(named):
     cp.pairwise[("0", "1")] = ("2", "m_0_2", "m_1_2")
     report = validate_coproducts(dd.base, cp)
     assert any(v.code == "coproduct-universal-property" for v in report)
+
+
+def test_planted_wrong_projection_reported(named):
+    dd = named["CH3"]
+    pd = product_data(dd)
+    # the dual plant: 0 with valid projections in place of the meet 1 of (1, 2)
+    pd.pairwise[("1", "2")] = ("0", "m_0_1", "m_0_2")
+    report = validate_products(dd.base, pd)
+    assert Violation("product-universal-property", ("1", "2", "i_1", "m_1_2")) in report
+    # swapped projections of a poset product never end where they should
+    pd = product_data(dd)
+    obj, pr1, pr2 = pd.pairwise[("0", "1")]
+    pd.pairwise[("0", "1")] = (obj, pr2, pr1)
+    assert validate_products(dd.base, pd) == [
+        Violation("projection-endpoints", ("0", "1", pr2))
+    ]
 
 
 def test_ch3_denominator_closure_trace(named):

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DomainError
+from .core import DomainError, FinCategory
 from .denominators import DenominatorData
 from .three_arrows import (
     ThreeArrow,
@@ -419,21 +419,10 @@ def factorisation_square(
                 ):
                     yield i, p
 
-    def h_candidates(i, p, j, q):
-        fj = cat.icomp[(fi, j)]
-        pg = cat.icomp[(p, gi)]
-        for h in cat.by_src[cat.itgt[i]]:
-            if (
-                cat.itgt[h] == cat.itgt[j]
-                and cat.icomp[(i, h)] == fj
-                and cat.icomp[(h, q)] == pg
-            ):
-                yield h
-
     if given == "none":
         for i, p in split(di, dd.s_sorted, dd.t_sorted):
             for j, q in split(ei, dd.s_sorted, dd.t_sorted):
-                for h in h_candidates(i, p, j, q):
+                for h in _square_mediators(cat, fi, gi, i, p, j, q):
                     return FactorisationSquare(ms[i], ms[p], ms[j], ms[q], ms[h])
         raise AssertionError("no factorisation square on a certified structure")
     if given not in ("left", "right"):
@@ -441,53 +430,64 @@ def factorisation_square(
     if supplied is None:
         raise DomainError("given mode requires the supplied factorisation")
     s0, s1 = mi[supplied[0]], mi[supplied[1]]
-    cert = dd.certificate()
+    factored, side = (di, "d") if given == "left" else (ei, "e")
+    if s0 not in dd.is_ or s1 not in dd.it or cat.icomp[(s0, s1)] != factored:
+        raise DomainError(f"supplied pair is not an S,T factorisation of {side}")
     if given == "left":
-        if s0 not in dd.is_ or s1 not in dd.it or cat.icomp[(s0, s1)] != di:
-            raise DomainError("supplied pair is not an S,T factorisation of d")
-        fac = cert.fac.witnesses[ei]
-        j0, q0 = fac.i, fac.p
-        # refine: j = j0 k, q0 = k q2, f j = i h? no: f (j0 k) = s0 h, p g = h q2
-        for k in dd.s_sorted:
-            if cat.isrc[k] != cat.itgt[j0]:
-                continue
-            j = cat.icomp[(j0, k)]
-            for q2 in dd.t_sorted:
-                if (
-                    cat.isrc[q2] != cat.itgt[k]
-                    or cat.itgt[q2] != cat.itgt[ei]
-                    or cat.icomp[(k, q2)] != q0
-                ):
-                    continue
-                if cat.icomp[(j, q2)] != ei:
-                    continue
-                for h in h_candidates(s0, s1, j, q2):
-                    return FactorisationSquare(
-                        ms[s0], ms[s1], ms[j], ms[q2], ms[h],
-                        refinement=(ms[k], ms[q2]),
-                    )
-        raise AssertionError("no refinement square on a certified structure")
-    # given == "right": refine the cached factorisation of d
-    if s0 not in dd.is_ or s1 not in dd.it or cat.icomp[(s0, s1)] != ei:
-        raise DomainError("supplied pair is not an S,T factorisation of e")
-    fac = cert.fac.witnesses[di]
-    i0, p0 = fac.i, fac.p
-    for r in dd.t_sorted:
-        if cat.itgt[r] != cat.isrc[p0]:
+        fac = dd.certificate().fac.witnesses[ei]
+        j, q2, h, k = _refinement(
+            cat, dd.s_sorted, dd.t_sorted, ei, fi, gi, s0, s1, fac.i, fac.p
+        )
+        return FactorisationSquare(
+            ms[s0], ms[s1], ms[j], ms[q2], ms[h], refinement=(ms[k], ms[q2])
+        )
+    # given == "right" is the left refinement of the opposite square
+    # (e, d, g, f), where S and T trade places; the cached factorisation of
+    # d is read from this structure's certificate, never the opposite's
+    fac = dd.certificate().fac.witnesses[di]
+    p2, i, h, r = _refinement(
+        cat.opposite(), dd.t_sorted, dd.s_sorted, di, gi, fi, s1, s0, fac.p, fac.i
+    )
+    return FactorisationSquare(
+        ms[i], ms[p2], ms[s0], ms[s1], ms[h], refinement=(ms[r], ms[p2])
+    )
+
+
+def _square_mediators(cat: FinCategory, f: int, g: int, i: int, p: int, j: int,
+                      q: int):
+    """Every h with comp(i, h) == comp(f, j) and comp(h, q) == comp(p, g)."""
+    fj = cat.icomp[(f, j)]
+    pg = cat.icomp[(p, g)]
+    for h in cat.by_src[cat.itgt[i]]:
+        if (
+            cat.itgt[h] == cat.itgt[j]
+            and cat.icomp[(i, h)] == fj
+            and cat.icomp[(h, q)] == pg
+        ):
+            yield h
+
+
+def _refinement(cat: FinCategory, s_pool, t_pool, e: int, f: int, g: int,
+                i: int, p: int, j0: int, q0: int) -> tuple[int, int, int, int]:
+    """First (j, q2, h, k) with j == comp(j0, k), q0 == comp(k, q2),
+    comp(j, q2) == e, k in the S pool and q2 in the T pool, and h filling
+    the square against the factorisation (i, p) of d.
+
+    Index order; ``(j0, q0)`` is the cached factorisation of e.
+    """
+    for k in s_pool:
+        if cat.isrc[k] != cat.itgt[j0]:
             continue
-        p2 = cat.icomp[(r, p0)]
-        for i in dd.s_sorted:
+        j = cat.icomp[(j0, k)]
+        for q2 in t_pool:
             if (
-                cat.isrc[i] != cat.isrc[di]
-                or cat.itgt[i] != cat.isrc[r]
-                or cat.icomp[(i, r)] != i0
+                cat.isrc[q2] != cat.itgt[k]
+                or cat.itgt[q2] != cat.itgt[e]
+                or cat.icomp[(k, q2)] != q0
             ):
                 continue
-            if cat.icomp[(i, p2)] != di:
+            if cat.icomp[(j, q2)] != e:
                 continue
-            for h in h_candidates(i, p2, s0, s1):
-                return FactorisationSquare(
-                    ms[i], ms[p2], ms[s0], ms[s1], ms[h],
-                    refinement=(ms[r], ms[p2]),
-                )
+            for h in _square_mediators(cat, f, g, i, p, j, q2):
+                return j, q2, h, k
     raise AssertionError("no refinement square on a certified structure")

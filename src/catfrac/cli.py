@@ -178,28 +178,22 @@ def _suite_transport(inst, dd) -> list[str]:
         return ["transport SKIP (category laws fail)"]
     lines = []
     fc = None
-    if inst.initial is not None and inst.coproducts is not None:
-        cp = CoproductData.from_instance_entries(inst.initial, inst.coproducts)
-        bad = validate_coproducts(dd.base, cp)
-        lines.append(f"coproducts-valid {'PASS' if not bad else 'FAIL'}")
-        if not bad:
-            fc = build_fraction_category(dd)
-            bad = check_localisation_preserves_coproducts(fc, cp)
-            lines.append(
-                f"coproducts-preserved {'PASS' if not bad else 'FAIL'}"
-            )
-    else:
-        lines.append("coproducts-valid SKIP (no coproduct data)")
-    if inst.terminal is not None and inst.products is not None:
-        pd = ProductData.from_instance_entries(inst.terminal, inst.products)
-        bad = validate_products(dd.base, pd)
-        lines.append(f"products-valid {'PASS' if not bad else 'FAIL'}")
+    for kind, unit, entries, data, validate, preserves in (
+        ("coproduct", inst.initial, inst.coproducts, CoproductData,
+         validate_coproducts, check_localisation_preserves_coproducts),
+        ("product", inst.terminal, inst.products, ProductData,
+         validate_products, check_localisation_preserves_products),
+    ):
+        if unit is None or entries is None:
+            lines.append(f"{kind}s-valid SKIP (no {kind} data)")
+            continue
+        table = data.from_instance_entries(unit, entries)
+        bad = validate(dd.base, table)
+        lines.append(f"{kind}s-valid {'PASS' if not bad else 'FAIL'}")
         if not bad:
             fc = fc or build_fraction_category(dd)
-            bad = check_localisation_preserves_products(fc, pd)
-            lines.append(f"products-preserved {'PASS' if not bad else 'FAIL'}")
-    else:
-        lines.append("products-valid SKIP (no product data)")
+            bad = preserves(fc, table)
+            lines.append(f"{kind}s-preserved {'PASS' if not bad else 'FAIL'}")
     if inst.addition is not None:
         add = AdditionTables.from_instance_entries(inst.addition)
         fc = fc or build_fraction_category(dd)

@@ -279,12 +279,6 @@ class FunctorTable:
     obj_map: dict[str, str]
     mor_map: dict[str, str]
 
-    def apply_obj(self, x: str) -> str:
-        return self.obj_map[x]
-
-    def apply(self, f: str) -> str:
-        return self.mor_map[f]
-
     def compose_with(self, other: "FunctorTable") -> "FunctorTable":
         """self then other (other applied second)."""
         if self.target is not other.source and not self.target.table_equal(

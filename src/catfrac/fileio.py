@@ -38,10 +38,46 @@ class Instance:
     localisation: dict[str, str] | None = None
 
 
-def _as_instance(doc: dict, where: str) -> Instance:
+def _check_schema(doc: dict, where: str) -> None:
+    """Shape of the category fields; each error names its JSON path."""
+
+    def fail(path: str, msg: str):
+        raise DomainError(f"{where}: {path}: {msg}")
+
+    def is_ids(value) -> bool:
+        return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
     for key in ("name", "objects", "morphisms", "identities", "composition"):
         if key not in doc:
             raise DomainError(f"{where}: missing field {key!r}")
+    if not is_ids(doc["objects"]):
+        fail("objects", "expected a list of strings")
+    for key in ("morphisms", "composition"):
+        if not isinstance(doc[key], list):
+            fail(key, "expected a list")
+    for n, m in enumerate(doc["morphisms"]):
+        if not isinstance(m, dict):
+            fail(f"morphisms[{n}]", "expected an object")
+        for field in ("id", "src", "tgt"):
+            if field not in m:
+                fail(f"morphisms[{n}]", f"missing field {field!r}")
+            if not isinstance(m[field], str):
+                fail(f"morphisms[{n}].{field}", "expected a string")
+    if not isinstance(doc["identities"], dict):
+        fail("identities", "expected an object")
+    for x in doc["objects"]:
+        if x not in doc["identities"]:
+            fail("identities", f"no identity for object {x!r}")
+    for n, entry in enumerate(doc["composition"]):
+        if not is_ids(entry) or len(entry) != 3:
+            fail(f"composition[{n}]", "expected 3 ids")
+    for key in ("denominators", "s_denominators", "t_denominators"):
+        if not is_ids(doc.get(key, [])):
+            fail(key, "expected a list of strings")
+
+
+def _as_instance(doc: dict, where: str) -> Instance:
+    _check_schema(doc, where)
     morphisms = [m["id"] for m in doc["morphisms"]]
     cat = FinCategory(
         doc["name"],

@@ -292,9 +292,7 @@ def _target_inverse(target: FinCategory, f: str) -> str:
     return inv
 
 
-def induced_functor(
-    fc: FractionCategory, fun: FunctorTable, check_inverts: bool = True
-) -> FunctorTable:
+def induced_functor(fc: FractionCategory, fun: FunctorTable) -> FunctorTable:
     """The unique functor out of the fraction category extending ``fun``.
 
     On a class of (b, f, a) the value is F(b)^-1 F(f) F(a)^-1 computed in
@@ -304,9 +302,8 @@ def induced_functor(
     dd = fc.dd
     if validate_functor(fun):
         raise DomainError("input is not a functor")
-    if check_inverts:
-        for d in dd.den_sorted:
-            _target_inverse(fun.target, fun.mor_map[dd.base.morphisms[d]])
+    for d in dd.den_sorted:
+        _target_inverse(fun.target, fun.mor_map[dd.base.morphisms[d]])
     tgt = fun.target
 
     def value(t: ThreeArrow) -> str:
@@ -537,38 +534,30 @@ def subcategory_equivalence(
         raise DomainError(f"unknown variant {variant!r}")
     if not objects:
         raise DomainError("object subset must be nonempty")
-    cat = dd.base
     inside = set(objects)
-    failures: list[str] = []
-    for x in cat.objects:
-        if variant == "s-resolution":
-            hit = any(
-                cat.morphisms[d]
-                for d in dd.den_sorted
-                if cat.objects[cat.itgt[d]] == x and cat.objects[cat.isrc[d]] in inside
-            )
-            if not hit:
-                failures.append(f"no denominator into {x} from the subcategory")
-        else:
-            hit = any(
-                cat.morphisms[d]
-                for d in dd.den_sorted
-                if cat.objects[cat.isrc[d]] == x and cat.objects[cat.itgt[d]] in inside
-            )
-            if not hit:
-                failures.append(f"no denominator out of {x} into the subcategory")
+    # t-resolution is the s-resolution hypothesis of the opposite, T for S
     if variant == "s-resolution":
-        for i in dd.s_sorted:
-            if cat.objects[cat.isrc[i]] in inside and cat.objects[cat.itgt[i]] not in inside:
-                failures.append(
-                    f"S-denominator {cat.morphisms[i]} leaves the subcategory"
-                )
+        cat, pool = dd.base, dd.s_sorted
+        no_hit = "no denominator into {} from the subcategory"
+        escapes = "S-denominator {} leaves the subcategory"
     else:
-        for p in dd.t_sorted:
-            if cat.objects[cat.itgt[p]] in inside and cat.objects[cat.isrc[p]] not in inside:
-                failures.append(
-                    f"T-denominator {cat.morphisms[p]} enters from outside"
-                )
+        cat, pool = dd.base.opposite(), dd.t_sorted
+        no_hit = "no denominator out of {} into the subcategory"
+        escapes = "T-denominator {} enters from outside"
+    failures = [
+        no_hit.format(x)
+        for y, x in enumerate(cat.objects)
+        if not any(
+            cat.itgt[d] == y and cat.objects[cat.isrc[d]] in inside
+            for d in dd.den_sorted
+        )
+    ]
+    failures += [
+        escapes.format(cat.morphisms[i])
+        for i in pool
+        if cat.objects[cat.isrc[i]] in inside
+        and cat.objects[cat.itgt[i]] not in inside
+    ]
 
     sub = full_subcategory(dd, objects)
     sub_ok = sub.certificate().ok

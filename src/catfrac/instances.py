@@ -187,21 +187,27 @@ def make_named(name: str) -> DenominatorData:
 
 
 def poset_coproducts(dd: DenominatorData) -> tuple[str, list[dict]]:
-    """Joins and bottom of a poset instance, as chosen-coproduct data."""
+    """Joins and bottom of a poset instance, as chosen-coproduct data.
+
+    Raises DomainError unless the base is a poset: at most one arrow per
+    hom-set and no arrows both ways between distinct objects.
+    """
     cat = dd.base
     leq = {
         (cat.src_of(f), cat.tgt_of(f)) for f in cat.morphisms
     }
+    if len(leq) != cat.n_morphisms or any(x != y and (y, x) in leq for x, y in leq):
+        raise DomainError("not a poset")
     bottoms = [x for x in cat.objects if all((x, y) in leq for y in cat.objects)]
     if not bottoms:
-        raise DomainError("poset has no bottom element")
+        raise DomainError(f"{cat.name} has no bottom element")
     entries = []
     for x in cat.objects:
         for y in cat.objects:
             ubs = [z for z in cat.objects if (x, z) in leq and (y, z) in leq]
             joins = [z for z in ubs if all((z, w) in leq for w in ubs)]
             if not joins:
-                raise DomainError(f"no join for ({x!r}, {y!r})")
+                raise DomainError(f"no join for ({x!r}, {y!r}) in {cat.name}")
             j = joins[0]
             entries.append(
                 {
@@ -217,31 +223,12 @@ def poset_coproducts(dd: DenominatorData) -> tuple[str, list[dict]]:
 
 
 def poset_products(dd: DenominatorData) -> tuple[str, list[dict]]:
-    """Meets and top of a poset instance, as chosen-product data."""
-    cat = dd.base
-    leq = {(cat.src_of(f), cat.tgt_of(f)) for f in cat.morphisms}
-    tops = [x for x in cat.objects if all((y, x) in leq for y in cat.objects)]
-    if not tops:
-        raise DomainError("poset has no top element")
-    entries = []
-    for x in cat.objects:
-        for y in cat.objects:
-            lbs = [z for z in cat.objects if (z, x) in leq and (z, y) in leq]
-            meets = [z for z in lbs if all((w, z) in leq for w in lbs)]
-            if not meets:
-                raise DomainError(f"no meet for ({x!r}, {y!r})")
-            m = meets[0]
-            entries.append(
-                {
-                    "of": [x, y],
-                    "object": m,
-                    "proj": [
-                        cat.morphisms[cat.hom(cat.obj_index[m], cat.obj_index[x])[0]],
-                        cat.morphisms[cat.hom(cat.obj_index[m], cat.obj_index[y])[0]],
-                    ],
-                }
-            )
-    return tops[0], entries
+    """Meets and top of a poset instance: the joins and bottom of its
+    opposite, read as chosen-product data."""
+    top, entries = poset_coproducts(dd.opposite())
+    return top, [
+        {"of": e["of"], "object": e["object"], "proj": e["emb"]} for e in entries
+    ]
 
 
 def as_instance(dd: DenominatorData, with_structure: bool = False) -> Instance:

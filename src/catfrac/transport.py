@@ -10,6 +10,7 @@ embedding, including the shared-leg induced-morphism formula.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .core import DomainError, FinCategory, Violation
@@ -114,7 +115,11 @@ def validate_products(cat: FinCategory, pd: ProductData) -> list[Violation]:
     Decided as the coproduct check of the opposite category, with the
     violation codes renamed to their product duals.
     """
-    report = validate_coproducts(cat.opposite(), pd.as_coproducts())
+    return _dual_codes(validate_coproducts(cat.opposite(), pd.as_coproducts()))
+
+
+def _dual_codes(report: list[Violation]) -> list[Violation]:
+    """Coproduct violation codes renamed to their product duals."""
     for word, dual in (
         ("initial", "terminal"), ("coproduct", "product"), ("embedding", "projection")
     ):
@@ -122,17 +127,20 @@ def validate_products(cat: FinCategory, pd: ProductData) -> list[Violation]:
     return report
 
 
+def _chosen_embeddings(cat: FinCategory, cp: CoproductData, x1: str, x2: str):
+    """(object, emb1, emb2) chosen for the pair, as indices, endpoints checked."""
+    cobj, emb1, emb2 = cp.pairwise[(x1, x2)]
+    c, e1, e2 = cat.obj_index[cobj], cat.mor_index[emb1], cat.mor_index[emb2]
+    if (cat.isrc[e1], cat.itgt[e1], cat.isrc[e2], cat.itgt[e2]) != (
+        cat.obj_index[x1], c, cat.obj_index[x2], c
+    ):
+        raise DomainError(f"chosen maps for the pair ({x1}, {x2}) have wrong endpoints")
+    return c, e1, e2
+
+
 def coproduct_induced(cat: FinCategory, cp: CoproductData, x1: str, x2: str,
                       f1: int, f2: int) -> int:
-    cobj, emb1, emb2 = cp.pairwise[(x1, x2)]
-    mediators = _unique_mediators(
-        cat,
-        cat.obj_index[cobj],
-        cat.mor_index[emb1],
-        cat.mor_index[emb2],
-        f1,
-        f2,
-    )
+    mediators = _unique_mediators(cat, *_chosen_embeddings(cat, cp, x1, x2), f1, f2)
     if len(mediators) != 1:
         raise DomainError(f"no unique mediator for the pair ({x1}, {x2})")
     return mediators[0]
@@ -143,11 +151,9 @@ def coproduct_of_morphisms(cat: FinCategory, cp: CoproductData,
     """d + e, the induced morphism between the chosen coproducts."""
     x1, x2 = cat.objects[cat.isrc[d]], cat.objects[cat.isrc[e]]
     y1, y2 = cat.objects[cat.itgt[d]], cat.objects[cat.itgt[e]]
-    _, emb1, emb2 = cp.pairwise[(y1, y2)]
+    _, emb1, emb2 = _chosen_embeddings(cat, cp, y1, y2)
     return coproduct_induced(
-        cat, cp, x1, x2,
-        cat.icomp[(d, cat.mor_index[emb1])],
-        cat.icomp[(e, cat.mor_index[emb2])],
+        cat, cp, x1, x2, cat.icomp[(d, emb1)], cat.icomp[(e, emb2)]
     )
 
 
@@ -201,6 +207,60 @@ def denominators_closed_under_products(
     return denominators_closed_under_coproducts(dd.opposite(), pd.as_coproducts())
 
 
+def _preservation_sweep(
+    cat: FinCategory, fr: FinCategory, fc: FractionCategory, cp: CoproductData,
+    formula, formula_code: str,
+) -> list[Violation]:
+    """Initial object, pairwise coproducts and the induced-class formula.
+
+    ``cat`` and ``fr`` are the base and the fraction category, or both
+    opposites; ``formula(t1, t2)`` gives the three-arrow whose class must
+    be the mediator of the classes of t1 and t2.  Only the tables are read
+    here, so the sweep runs unchanged over the opposites.
+    """
+    report: list[Violation] = []
+    loc, part = fc.localisation.mor_map, fc.partition
+    i0 = fr.obj_index[cp.initial]
+    for x in range(fr.n_objects):
+        hom = fr.hom(i0, x)
+        if len(hom) != 1:
+            report.append(Violation("fraction-initial", (cp.initial, fr.objects[x])))
+            continue
+        base = cat.hom(cat.obj_index[cp.initial], x)
+        if not base:
+            raise DomainError(
+                f"no base arrow between {cp.initial} and {cat.objects[x]}"
+            )
+        if fr.morphisms[hom[0]] != loc[cat.morphisms[base[0]]]:
+            report.append(
+                Violation("fraction-initial-map", (cp.initial, fr.objects[x]))
+            )
+    for x1, x2 in itertools.product(cat.objects, repeat=2):
+        cobj, emb1, emb2 = cp.pairwise[(x1, x2)]
+        le1, le2 = fr.mor_index[loc[emb1]], fr.mor_index[loc[emb2]]
+        c = fr.obj_index[cobj]
+        for y in range(fr.n_objects):
+            for phi1 in fr.hom(fr.obj_index[x1], y):
+                for phi2 in fr.hom(fr.obj_index[x2], y):
+                    ids = (x1, x2, fr.morphisms[phi1], fr.morphisms[phi2])
+                    mediators = [
+                        u
+                        for u in fr.hom(c, y)
+                        if fr.icomp[(le1, u)] == phi1 and fr.icomp[(le2, u)] == phi2
+                    ]
+                    if len(mediators) != 1:
+                        report.append(Violation("fraction-coproduct", ids))
+                        continue
+                    # shared-leg representatives realise the mediator
+                    t1, t2 = (
+                        part.representative(part.group_of_id(cid)) for cid in ids[2:]
+                    )
+                    cid = part.class_id(formula(t1, t2))
+                    if cid != fr.morphisms[mediators[0]]:
+                        report.append(Violation(formula_code, ids + (cid,)))
+    return report
+
+
 def check_localisation_preserves_coproducts(
     fc: FractionCategory, cp: CoproductData
 ) -> list[Violation]:
@@ -212,168 +272,55 @@ def check_localisation_preserves_coproducts(
     mediator must equal the class of (b1 + b2, induced middle, shared a),
     computed on shared-leg representatives.
     """
-    dd, cat, fr = fc.dd, fc.dd.base, fc.as_category
-    report: list[Violation] = []
+    dd, cat = fc.dd, fc.dd.base
     closed, wit = denominators_closed_under_coproducts(dd, cp)
     if not closed:
         raise DomainError(f"denominators not closed under coproducts: {wit}")
-    loc = fc.localisation.mor_map
-    i0 = fr.obj_index[cp.initial]
-    for x in range(fr.n_objects):
-        hom = fr.hom(i0, x)
-        if len(hom) != 1:
-            report.append(
-                Violation("fraction-initial", (cp.initial, fr.objects[x]))
-            )
-        else:
-            base_unique = cat.hom(cat.obj_index[cp.initial], x)[0]
-            if fr.morphisms[hom[0]] != loc[cat.morphisms[base_unique]]:
-                report.append(
-                    Violation(
-                        "fraction-initial-map", (cp.initial, fr.objects[x])
-                    )
-                )
-    part = fc.partition
-    for x1 in cat.objects:
-        for x2 in cat.objects:
-            cobj, emb1, emb2 = cp.pairwise[(x1, x2)]
-            le1, le2 = loc[emb1], loc[emb2]
-            c = fr.obj_index[cobj]
-            for y in range(fr.n_objects):
-                for phi1 in fr.hom(fr.obj_index[x1], y):
-                    for phi2 in fr.hom(fr.obj_index[x2], y):
-                        mediators = [
-                            u
-                            for u in fr.hom(c, y)
-                            if fr.icomp[(fr.mor_index[le1], u)] == phi1
-                            and fr.icomp[(fr.mor_index[le2], u)] == phi2
-                        ]
-                        if len(mediators) != 1:
-                            report.append(
-                                Violation(
-                                    "fraction-coproduct",
-                                    (
-                                        x1,
-                                        x2,
-                                        fr.morphisms[phi1],
-                                        fr.morphisms[phi2],
-                                    ),
-                                )
-                            )
-                            continue
-                        # shared-leg representatives realise the mediator
-                        t1 = part.representative(
-                            part.group_of_id(fr.morphisms[phi1])
-                        )
-                        t2 = part.representative(
-                            part.group_of_id(fr.morphisms[phi2])
-                        )
-                        s1, s2 = common_denominator(dd, t1, t2, "target")
-                        assert s1.a == s2.a
-                        bsum = coproduct_of_morphisms(cat, cp, s1.b, s2.b)
-                        middle = coproduct_induced(
-                            cat,
-                            cp,
-                            cat.objects[cat.isrc[s1.f]],
-                            cat.objects[cat.isrc[s2.f]],
-                            s1.f,
-                            s2.f,
-                        )
-                        formula = part.class_id(ThreeArrow(bsum, middle, s1.a))
-                        if formula != fr.morphisms[mediators[0]]:
-                            report.append(
-                                Violation(
-                                    "induced-class-formula",
-                                    (
-                                        x1,
-                                        x2,
-                                        fr.morphisms[phi1],
-                                        fr.morphisms[phi2],
-                                        formula,
-                                    ),
-                                )
-                            )
-    return report
+
+    def formula(t1: ThreeArrow, t2: ThreeArrow) -> ThreeArrow:
+        s1, s2 = common_denominator(dd, t1, t2, "target")
+        assert s1.a == s2.a
+        bsum = coproduct_of_morphisms(cat, cp, s1.b, s2.b)
+        middle = coproduct_induced(
+            cat, cp, cat.objects[cat.isrc[s1.f]], cat.objects[cat.isrc[s2.f]],
+            s1.f, s2.f,
+        )
+        return ThreeArrow(bsum, middle, s1.a)
+
+    return _preservation_sweep(
+        cat, fc.as_category, fc, cp, formula, "induced-class-formula"
+    )
 
 
 def check_localisation_preserves_products(
     fc: FractionCategory, pd: ProductData
 ) -> list[Violation]:
-    """Exact dual of the coproduct check (terminal, pairwise, formula)."""
-    dd, cat, fr = fc.dd, fc.dd.base, fc.as_category
-    report: list[Violation] = []
+    """Terminal object, pairwise products and the induced-class formula.
+
+    The coproduct sweep over the opposite base and fraction categories,
+    with the codes renamed to their product duals.  The formula itself
+    stays on the original structure: it reads the (Fac) and pullback
+    caches through ``common_denominator(..., "source")``.
+    """
+    dd, cat = fc.dd, fc.dd.base
     closed, wit = denominators_closed_under_products(dd, pd)
     if not closed:
         raise DomainError(f"denominators not closed under products: {wit}")
-    loc = fc.localisation.mor_map
-    t0 = fr.obj_index[pd.terminal]
-    for x in range(fr.n_objects):
-        hom = fr.hom(x, t0)
-        if len(hom) != 1:
-            report.append(
-                Violation("fraction-terminal", (pd.terminal, fr.objects[x]))
-            )
-        else:
-            base_unique = cat.hom(x, cat.obj_index[pd.terminal])[0]
-            if fr.morphisms[hom[0]] != loc[cat.morphisms[base_unique]]:
-                report.append(
-                    Violation("fraction-terminal-map", (pd.terminal, fr.objects[x]))
-                )
-    part = fc.partition
-    for y1 in cat.objects:
-        for y2 in cat.objects:
-            pobj, pr1, pr2 = pd.pairwise[(y1, y2)]
-            lp1, lp2 = loc[pr1], loc[pr2]
-            p = fr.obj_index[pobj]
-            for x in range(fr.n_objects):
-                for phi1 in fr.hom(x, fr.obj_index[y1]):
-                    for phi2 in fr.hom(x, fr.obj_index[y2]):
-                        mediators = [
-                            u
-                            for u in fr.hom(x, p)
-                            if fr.icomp[(u, fr.mor_index[lp1])] == phi1
-                            and fr.icomp[(u, fr.mor_index[lp2])] == phi2
-                        ]
-                        if len(mediators) != 1:
-                            report.append(
-                                Violation(
-                                    "fraction-product",
-                                    (y1, y2, fr.morphisms[phi1], fr.morphisms[phi2]),
-                                )
-                            )
-                            continue
-                        t1 = part.representative(
-                            part.group_of_id(fr.morphisms[phi1])
-                        )
-                        t2 = part.representative(
-                            part.group_of_id(fr.morphisms[phi2])
-                        )
-                        s1, s2 = common_denominator(dd, t1, t2, "source")
-                        assert s1.b == s2.b
-                        asum = product_of_morphisms(cat, pd, s1.a, s2.a)
-                        middle = product_induced(
-                            cat,
-                            pd,
-                            cat.objects[cat.itgt[s1.f]],
-                            cat.objects[cat.itgt[s2.f]],
-                            s1.f,
-                            s2.f,
-                        )
-                        formula = part.class_id(ThreeArrow(s1.b, middle, asum))
-                        if formula != fr.morphisms[mediators[0]]:
-                            report.append(
-                                Violation(
-                                    "induced-class-formula-product",
-                                    (
-                                        y1,
-                                        y2,
-                                        fr.morphisms[phi1],
-                                        fr.morphisms[phi2],
-                                        formula,
-                                    ),
-                                )
-                            )
-    return report
+
+    def formula(t1: ThreeArrow, t2: ThreeArrow) -> ThreeArrow:
+        s1, s2 = common_denominator(dd, t1, t2, "source")
+        assert s1.b == s2.b
+        asum = product_of_morphisms(cat, pd, s1.a, s2.a)
+        middle = product_induced(
+            cat, pd, cat.objects[cat.itgt[s1.f]], cat.objects[cat.itgt[s2.f]],
+            s1.f, s2.f,
+        )
+        return ThreeArrow(s1.b, middle, asum)
+
+    return _dual_codes(_preservation_sweep(
+        cat.opposite(), fc.as_category.opposite(), fc, pd.as_coproducts(),
+        formula, "induced-class-formula-product",
+    ))
 
 
 @dataclass

@@ -322,11 +322,20 @@ def test_factorisation_square_rejects_bad_inputs(named):
 
 
 def test_factorisation_square_sweep(named):
-    # the search succeeds on every commuting denominator square of CH3/DIA
-    for name in ("CH3", "DIA"):
+    # the search succeeds on every commuting denominator square of
+    # CH3/DIA/DIA-B, and for every composable supplied S,T pair both
+    # refinements either reject the pair or return a valid square
+    refined = 0
+    for name in ("CH3", "DIA", "DIA-B"):
         dd = named[name]
         cat = dd.base
         m = cat.morphisms
+        supplied = [
+            (m[s0], m[s1])
+            for s0 in dd.s_sorted
+            for s1 in dd.t_sorted
+            if cat.composable(s0, s1)
+        ]
         for d in dd.den_sorted:
             for e in dd.den_sorted:
                 for f in range(cat.n_morphisms):
@@ -340,5 +349,17 @@ def test_factorisation_square_sweep(named):
                             continue
                         if cat.icomp[(f, e)] != cat.icomp[(d, g)]:
                             continue
-                        fs = factorisation_square(dd, m[d], m[e], m[f], m[g])
-                        _check_square(dd, m[d], m[e], m[f], m[g], fs)
+                        square = (m[d], m[e], m[f], m[g])
+                        fs = factorisation_square(dd, *square)
+                        _check_square(dd, *square, fs)
+                        for given in ("left", "right"):
+                            for pair in supplied:
+                                try:
+                                    fs = factorisation_square(
+                                        dd, *square, given=given, supplied=pair
+                                    )
+                                except DomainError:  # not a factorisation
+                                    continue
+                                _check_square(dd, *square, fs)
+                                refined += 1
+    assert refined > 0

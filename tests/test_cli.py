@@ -223,3 +223,43 @@ def test_localise_refuses_bad_structure(tmp_path, capsys):
     run(["instance", "IDEM", "-o", str(idem)])
     assert run(["localise", str(idem), "-o", str(tmp_path / "out")]) == 1
     assert "(WU)" in capsys.readouterr().err
+
+
+def test_monoid_instance_carries_no_poset_tables(tmp_path, capsys):
+    path = tmp_path / "z4"
+    assert run(["instance", "Z4", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert run(["check", str(path), "--suite", "all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "coproducts-valid SKIP (no coproduct data)" in lines
+    assert "products-valid SKIP (no product data)" in lines
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    (
+        (
+            lambda doc: doc["morphisms"][0].pop("src"),
+            "morphisms[0]: missing field 'src'",
+        ),
+        (lambda doc: doc["composition"][0].pop(), "composition[0]: expected 3 ids"),
+        (lambda doc: doc.update(objects="012"), "objects: expected a list of strings"),
+        (
+            lambda doc: doc["identities"].pop("1"),
+            "identities: no identity for object '1'",
+        ),
+    ),
+    ids=("missing-src", "short-triple", "objects-string", "missing-identity"),
+)
+def test_malformed_file_is_one_error_line(mutate, message, ch3_file, capsys):
+    with open(ch3_file, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    mutate(doc)
+    with open(ch3_file, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    capsys.readouterr()
+    assert run(["validate", ch3_file]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].endswith(message)

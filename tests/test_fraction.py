@@ -544,3 +544,11 @@ def test_empty_category_localises_to_nothing():
     fc = build_fraction_category(empty)
     assert fc.as_category.n_objects == 0
     assert fc.as_category.n_morphisms == 0
+
+
+def test_subcategory_t_resolution_failures_ch3(named):
+    report = subcategory_equivalence(named["CH3"], ["1"], "t-resolution")
+    assert report.hypothesis_failures == [
+        "no denominator out of 2 into the subcategory",
+        "T-denominator m_0_1 enters from outside",
+    ]

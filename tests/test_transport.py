@@ -182,3 +182,66 @@ def test_sum_formula_vacuous_on_empty_category():
     add = AdditionTables(zero={}, plus={})
     assert validate_addition(empty.base, add) == []
     assert sum_formula_check(fc, add) == []
+
+
+def test_planted_product_fails_in_the_fraction_category(named):
+    dd = named["CH3"]
+    fc = build_fraction_category(dd)
+    pd = product_data(dd)
+    pd.pairwise[("2", "2")] = ("1", "m_1_2", "m_1_2")
+    assert check_localisation_preserves_products(fc, pd) == [
+        Violation("fraction-product", ("2", "2", "q11", "q11"))
+    ]
+
+
+def test_planted_terminal_and_initial_reported(named):
+    dd = named["CH3"]
+    fc = build_fraction_category(dd)
+    pd = product_data(dd)
+    assert check_localisation_preserves_products(
+        fc, ProductData("1", pd.pairwise)
+    ) == [Violation("fraction-terminal", ("1", "2"))]
+    cp = coproduct_data(dd)
+    assert check_localisation_preserves_coproducts(
+        fc, CoproductData("2", cp.pairwise)
+    ) == [
+        Violation("fraction-initial", ("2", "0")),
+        Violation("fraction-initial", ("2", "1")),
+    ]
+
+
+def test_swapped_projections_are_a_domain_error(named):
+    dd = named["CH3"]
+    pd = product_data(dd)
+    obj, pr1, pr2 = pd.pairwise[("0", "1")]
+    pd.pairwise[("0", "1")] = (obj, pr2, pr1)
+    with pytest.raises(DomainError, match="wrong endpoints"):
+        denominators_closed_under_products(dd, pd)
+    with pytest.raises(DomainError, match="wrong endpoints"):
+        product_of_morphisms(dd.base, pd, dd.base.mor_index["i_0"],
+                             dd.base.mor_index["i_1"])
+
+
+@pytest.mark.parametrize(
+    "name, side, obj",
+    (("CH3", "initial", "1"), ("CH3", "terminal", "0"), ("DIA", "terminal", "a")),
+)
+def test_unreachable_universal_object_is_a_domain_error(name, side, obj, named):
+    # the localisation has an arrow between obj and some object; the base has none
+    dd = named[name]
+    fc = build_fraction_category(dd)
+    if side == "initial":
+        check = check_localisation_preserves_coproducts
+        table = CoproductData(obj, coproduct_data(dd).pairwise)
+    else:
+        check = check_localisation_preserves_products
+        table = ProductData(obj, product_data(dd).pairwise)
+    with pytest.raises(DomainError, match="no base arrow"):
+        check(fc, table)
+
+
+@pytest.mark.parametrize("name", ("PAR", "IDEM", "Z4"))
+def test_poset_tables_refuse_non_posets(name, named):
+    for tables in (poset_coproducts, poset_products):
+        with pytest.raises(DomainError, match="not a poset"):
+            tables(named[name])

@@ -54,7 +54,6 @@ from .fraction import (
     subcategory_equivalence,
 )
 from .calculus import (
-    SquareWitness,
     ThreeByThreeWitness,
     equal_by_3x3,
     factorisation_square,

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import DomainError, FinCategory
-from .denominators import DenominatorData
+from .denominators import DenominatorData, factorisations
 from .three_arrows import (
     ThreeArrow,
     check_three_arrow,
@@ -122,7 +122,7 @@ def find_bridge(
 
     # every solution-map hit already has the right endpoints; only the
     # membership filters remain per loop
-    for pm1 in sorted(t_set):
+    for pm1 in dd.t_sorted:
         if cat.itgt[pm1] != A1:
             continue
         lhs1 = cat.icomp[(pm1, t1.b)]
@@ -131,7 +131,7 @@ def find_bridge(
             if bm1 not in den or (rows_normal and bm1 not in t_set):
                 continue
             w4 = cat.icomp[(bm1, gL)]
-            for im1 in sorted(s_set):
+            for im1 in dd.s_sorted:
                 if cat.isrc[im1] != B1:
                     continue
                 for bm2 in right_sol.get((im1, w1), ()):
@@ -140,7 +140,7 @@ def find_bridge(
                     for gm1 in left_sol.get((bm2, w4), ()):
                         if middles_in_D and gm1 not in den:
                             continue
-                        for pm2 in sorted(t_set):
+                        for pm2 in dd.t_sorted:
                             if cat.itgt[pm2] != A2:
                                 continue
                             for am1 in left_sol.get((pm2, w3), ()):
@@ -149,7 +149,7 @@ def find_bridge(
                                 ):
                                     continue
                                 for fm1 in left_sol.get((pm2, w2), ()):
-                                    for im2 in sorted(s_set):
+                                    for im2 in dd.s_sorted:
                                         if cat.isrc[im2] != B2:
                                             continue
                                         w9 = cat.icomp[(t2.a, im2)]
@@ -174,7 +174,7 @@ def find_bridge(
                                                         != w8
                                                     ):
                                                         continue
-                                                    wit = BridgeWitness(
+                                                    return BridgeWitness(
                                                         t1,
                                                         ThreeArrow(bm1, fm1, am1),
                                                         ThreeArrow(bm2, fm2, am2),
@@ -184,8 +184,6 @@ def find_bridge(
                                                         ThreeArrow(pm1, gm1, im1),
                                                         ThreeArrow(pm2, gm2, im2),
                                                     )
-                                                    wit.validate(dd)
-                                                    return wit
     return None
 
 
@@ -205,19 +203,6 @@ class ThreeByThreeWitness:
         for t in (self.bridge.left, self.bridge.right):
             if not all(map(dd.base.is_identity, (t.b, t.f, t.a))):
                 raise DomainError("outer columns must be identities")
-
-    def ids(self, dd: DenominatorData) -> str:
-        return self.bridge.ids(dd)
-
-
-@dataclass(frozen=True)
-class SquareWitness:
-    """Mixed-composite certificate: given normal outer columns."""
-
-    bridge: BridgeWitness
-
-    def validate(self, dd: DenominatorData) -> None:
-        self.bridge.validate(dd)
 
     def ids(self, dd: DenominatorData) -> str:
         return self.bridge.ids(dd)
@@ -256,7 +241,7 @@ def mixed_composite_equal(
     normal2: ThreeArrow,
     normal1: ThreeArrow,
     t2: ThreeArrow,
-) -> tuple[bool, SquareWitness | None]:
+) -> tuple[bool, BridgeWitness | None]:
     """Decide [t1][normal2] == [normal1][t2] by grid search.
 
     ``normal1`` spans source(t1) -> source(t2) and becomes the left
@@ -290,9 +275,8 @@ def mixed_composite_equal(
     assert found == via_compose, "grid verdict diverges from composition"
     if not found:
         return False, None
-    wit = SquareWitness(bridge)
-    wit.validate(dd)
-    return True, wit
+    bridge.validate(dd)
+    return True, bridge
 
 
 def flip(dd: DenominatorData, hypothesis: dict) -> BridgeWitness:
@@ -352,6 +336,7 @@ def flip(dd: DenominatorData, hypothesis: dict) -> BridgeWitness:
     bridge = find_bridge(dd, t1, t2, left, right)
     if bridge is None:
         raise AssertionError("no grid completion on a certified structure")
+    bridge.validate(dd)
     return bridge
 
 
@@ -406,22 +391,9 @@ def factorisation_square(
     ):
         raise DomainError("square f e == d g does not commute")
     ms = cat.morphisms
-
-    def split(x: int, pool_i, pool_p):
-        for i in pool_i:
-            if cat.isrc[i] != cat.isrc[x]:
-                continue
-            for p in pool_p:
-                if (
-                    cat.isrc[p] == cat.itgt[i]
-                    and cat.itgt[p] == cat.itgt[x]
-                    and cat.icomp[(i, p)] == x
-                ):
-                    yield i, p
-
     if given == "none":
-        for i, p in split(di, dd.s_sorted, dd.t_sorted):
-            for j, q in split(ei, dd.s_sorted, dd.t_sorted):
+        for i, p in factorisations(cat, di, dd.s_sorted, dd.t_sorted):
+            for j, q in factorisations(cat, ei, dd.s_sorted, dd.t_sorted):
                 for h in _square_mediators(cat, fi, gi, i, p, j, q):
                     return FactorisationSquare(ms[i], ms[p], ms[j], ms[q], ms[h])
         raise AssertionError("no factorisation square on a certified structure")
@@ -429,14 +401,17 @@ def factorisation_square(
         raise DomainError(f"unknown mode {given!r}")
     if supplied is None:
         raise DomainError("given mode requires the supplied factorisation")
+    for name in supplied:
+        if name not in mi:
+            raise DomainError(f"unknown morphism id {name!r}")
     s0, s1 = mi[supplied[0]], mi[supplied[1]]
     factored, side = (di, "d") if given == "left" else (ei, "e")
-    if s0 not in dd.is_ or s1 not in dd.it or cat.icomp[(s0, s1)] != factored:
+    if s0 not in dd.is_ or s1 not in dd.it or cat.icomp.get((s0, s1)) != factored:
         raise DomainError(f"supplied pair is not an S,T factorisation of {side}")
     if given == "left":
         fac = dd.certificate().fac.witnesses[ei]
         j, q2, h, k = _refinement(
-            cat, dd.s_sorted, dd.t_sorted, ei, fi, gi, s0, s1, fac.i, fac.p
+            cat, dd.s_sorted, dd.t_sorted, fi, gi, s0, s1, fac.i, fac.p
         )
         return FactorisationSquare(
             ms[s0], ms[s1], ms[j], ms[q2], ms[h], refinement=(ms[k], ms[q2])
@@ -446,7 +421,7 @@ def factorisation_square(
     # d is read from this structure's certificate, never the opposite's
     fac = dd.certificate().fac.witnesses[di]
     p2, i, h, r = _refinement(
-        cat.opposite(), dd.t_sorted, dd.s_sorted, di, gi, fi, s1, s0, fac.p, fac.i
+        cat.opposite(), dd.t_sorted, dd.s_sorted, gi, fi, s1, s0, fac.p, fac.i
     )
     return FactorisationSquare(
         ms[i], ms[p2], ms[s0], ms[s1], ms[h], refinement=(ms[r], ms[p2])
@@ -458,36 +433,22 @@ def _square_mediators(cat: FinCategory, f: int, g: int, i: int, p: int, j: int,
     """Every h with comp(i, h) == comp(f, j) and comp(h, q) == comp(p, g)."""
     fj = cat.icomp[(f, j)]
     pg = cat.icomp[(p, g)]
-    for h in cat.by_src[cat.itgt[i]]:
-        if (
-            cat.itgt[h] == cat.itgt[j]
-            and cat.icomp[(i, h)] == fj
-            and cat.icomp[(h, q)] == pg
-        ):
+    for h in cat.hom(cat.itgt[i], cat.itgt[j]):
+        if cat.icomp[(i, h)] == fj and cat.icomp[(h, q)] == pg:
             yield h
 
 
-def _refinement(cat: FinCategory, s_pool, t_pool, e: int, f: int, g: int,
-                i: int, p: int, j0: int, q0: int) -> tuple[int, int, int, int]:
-    """First (j, q2, h, k) with j == comp(j0, k), q0 == comp(k, q2),
-    comp(j, q2) == e, k in the S pool and q2 in the T pool, and h filling
-    the square against the factorisation (i, p) of d.
+def _refinement(cat: FinCategory, s_pool, t_pool, f: int, g: int, i: int,
+                p: int, j0: int, q0: int) -> tuple[int, int, int, int]:
+    """First (j, q2, h, k) with j == comp(j0, k), q0 == comp(k, q2), k in
+    the S pool and q2 in the T pool, and h filling the square against the
+    factorisation (i, p) of d.
 
-    Index order; ``(j0, q0)`` is the cached factorisation of e.
+    Index order; ``(j0, q0)`` is the cached factorisation of e, so
+    comp(j, q2) == e holds by associativity.
     """
-    for k in s_pool:
-        if cat.isrc[k] != cat.itgt[j0]:
-            continue
+    for k, q2 in factorisations(cat, q0, s_pool, t_pool):
         j = cat.icomp[(j0, k)]
-        for q2 in t_pool:
-            if (
-                cat.isrc[q2] != cat.itgt[k]
-                or cat.itgt[q2] != cat.itgt[e]
-                or cat.icomp[(k, q2)] != q0
-            ):
-                continue
-            if cat.icomp[(j, q2)] != e:
-                continue
-            for h in _square_mediators(cat, f, g, i, p, j, q2):
-                return j, q2, h, k
+        for h in _square_mediators(cat, f, g, i, p, j, q2):
+            return j, q2, h, k
     raise AssertionError("no refinement square on a certified structure")

@@ -12,7 +12,7 @@ import sys
 
 from . import fileio
 from .core import DomainError, validate_category
-from .denominators import AxiomError
+from .denominators import AxiomError, require_uni_fractionable
 from .fraction import (
     build_fraction_category,
     compose_fractions,
@@ -21,10 +21,13 @@ from .fraction import (
 )
 from .instances import NAMED, as_instance, from_instance, make_named
 from .three_arrows import (
+    ThreeArrow,
     fraction_equivalence,
     is_normal,
     normalise,
     parse_three_arrow,
+    source_of,
+    target_of,
 )
 from .calculus import equal_by_3x3
 
@@ -109,14 +112,12 @@ def cmd_equal(args) -> int:
 
 def cmd_compose(args) -> int:
     _, dd = _load(args.file)
-    fc = build_fraction_category(dd)
+    require_uni_fractionable(dd)
+    part = fraction_equivalence(dd)
     left = parse_three_arrow(dd, args.left)
     right = parse_three_arrow(dd, args.right)
-    gi = compose_fractions(
-        dd, fc.partition, left, right, strict=(args.mode == "strict")
-    )
-    cid = fc.partition.class_ids[gi]
-    print(f"{cid}: {fc.partition.representative(gi).ids(dd)}")
+    gi = compose_fractions(dd, part, left, right, strict=(args.mode == "strict"))
+    print(f"{part.class_ids[gi]}: {part.representative(gi).ids(dd)}")
     return 0
 
 
@@ -140,20 +141,13 @@ def _suite_theorem(inst, dd) -> list[str]:
     if not dd.certificate().ok:
         return ["theorem SKIP (structure axioms fail)"]
     part = fraction_equivalence(dd)
+    blocks: dict[tuple[int, int], list[ThreeArrow]] = {}
+    for t in part.arrows:
+        blocks.setdefault((source_of(dd, t), target_of(dd, t)), []).append(t)
     checked = diverged = 0
-    for gi in range(len(part)):
-        for t1 in part.members(gi):
-            for t2 in part.arrows:
-                if (
-                    part.arrow_index[t2] < part.arrow_index[t1]
-                ):
-                    continue
-                from .three_arrows import source_of, target_of
-
-                if source_of(dd, t1) != source_of(dd, t2) or target_of(
-                    dd, t1
-                ) != target_of(dd, t2):
-                    continue
+    for block in blocks.values():
+        for k, t1 in enumerate(block):
+            for t2 in block[k:]:
                 verdict, _ = equal_by_3x3(dd, t1, t2)
                 checked += 1
                 if verdict != part.same_class(t1, t2):

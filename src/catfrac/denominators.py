@@ -249,7 +249,7 @@ def _pushout_completions(dd: DenominatorData, kind: str):
     failures: list[tuple[str, str, str]] = []
     for i in dd.s_sorted:
         for f in cat.by_src[cat.isrc[i]]:
-            found = _first_completion(dd, i, f)
+            found = next(completions(dd, i, f), None)
             if found:
                 corner = cat.itgt[found[0]]
                 witnesses[(i, f)] = OreWitness(
@@ -260,20 +260,34 @@ def _pushout_completions(dd: DenominatorData, kind: str):
     return witnesses, failures
 
 
-def _first_completion(dd: DenominatorData, i: int, f: int):
-    """Index-smallest (f2, i2) with i2 in S making (i, f, f2, i2) a weak
-    pushout, or None."""
+def completions(dd: DenominatorData, i: int, f: int):
+    """Every (f2, i2) with i2 in S making (i, f, f2, i2) a weak pushout,
+    in index order.  Over ``dd.opposite()`` these are the pullback-side
+    completions (f2, p2) of (p, f), p2 in T."""
     cat = dd.base
     for f2 in cat.by_src[cat.itgt[i]]:
-        for i2 in cat.by_src[cat.itgt[f]]:
+        for i2 in cat.hom(cat.itgt[f], cat.itgt[f2]):
             if (
                 i2 in dd.is_
-                and cat.itgt[i2] == cat.itgt[f2]
                 and cat.icomp[(i, f2)] == cat.icomp[(f, i2)]
                 and is_weak_pushout(cat, (i, f, f2, i2))
             ):
-                return f2, i2
-    return None
+                yield f2, i2
+
+
+def factorisations(cat: FinCategory, x: int, firsts, seconds):
+    """Every (i, p) with comp(i, p) == x, i from ``firsts`` and p from
+    ``seconds`` (both in index order), in index order."""
+    for i in firsts:
+        if cat.isrc[i] != cat.isrc[x]:
+            continue
+        for p in seconds:
+            if (
+                cat.isrc[p] == cat.itgt[i]
+                and cat.itgt[p] == cat.itgt[x]
+                and cat.icomp[(i, p)] == x
+            ):
+                yield i, p
 
 
 @dataclass
@@ -292,22 +306,9 @@ def check_Fac(dd: DenominatorData) -> FacResult:
     witnesses: dict[int, FactorisationWitness] = {}
     failures: list[str] = []
     for d in dd.den_sorted:
-        found = None
-        for i in dd.s_sorted:
-            if cat.isrc[i] != cat.isrc[d]:
-                continue
-            for p in dd.t_sorted:
-                if (
-                    cat.isrc[p] == cat.itgt[i]
-                    and cat.itgt[p] == cat.itgt[d]
-                    and cat.icomp[(i, p)] == d
-                ):
-                    found = FactorisationWitness(d, i, p)
-                    break
-            if found:
-                break
+        found = next(factorisations(cat, d, dd.s_sorted, dd.t_sorted), None)
         if found:
-            witnesses[d] = found
+            witnesses[d] = FactorisationWitness(d, *found)
         else:
             failures.append(cat.morphisms[d])
     return FacResult(not failures, failures, witnesses)

@@ -39,7 +39,9 @@ class Instance:
 
 
 def _check_schema(doc: dict, where: str) -> None:
-    """Shape of the category fields; each error names its JSON path."""
+    """Shape of the category fields, and shape and resolving ids of the
+    optional unit, (co)product and addition fields; each error names its
+    JSON path."""
 
     def fail(path: str, msg: str):
         raise DomainError(f"{where}: {path}: {msg}")
@@ -74,6 +76,54 @@ def _check_schema(doc: dict, where: str) -> None:
     for key in ("denominators", "s_denominators", "t_denominators"):
         if not is_ids(doc.get(key, [])):
             fail(key, "expected a list of strings")
+
+    known = {
+        "object": set(doc["objects"]),
+        "morphism": {m["id"] for m in doc["morphisms"]},
+    }
+
+    def ident(path: str, value, kind: str) -> None:
+        if not isinstance(value, str):
+            fail(path, "expected a string")
+        if value not in known[kind]:
+            fail(path, f"unknown {kind} id {value!r}")
+
+    def idents(path: str, value, count: int, kind: str) -> None:
+        if not isinstance(value, list) or len(value) != count:
+            fail(path, f"expected {count} ids")
+        for k, x in enumerate(value):
+            ident(f"{path}[{k}]", x, kind)
+
+    def records(key: str, fields):
+        if not isinstance(doc[key], list):
+            fail(key, "expected a list")
+        for n, entry in enumerate(doc[key]):
+            path = f"{key}[{n}]"
+            if not isinstance(entry, dict):
+                fail(path, "expected an object")
+            for field in fields:
+                if field not in entry:
+                    fail(path, f"missing field {field!r}")
+            yield path, entry
+
+    for key in ("initial", "terminal"):
+        if doc.get(key) is not None:
+            ident(key, doc[key], "object")
+    for key, legs in (("coproducts", "emb"), ("products", "proj")):
+        if doc.get(key) is not None:
+            for path, e in records(key, ("of", "object", legs)):
+                idents(f"{path}.of", e["of"], 2, "object")
+                ident(f"{path}.object", e["object"], "object")
+                idents(f"{path}.{legs}", e[legs], 2, "morphism")
+    if doc.get("addition") is not None:
+        for path, e in records("addition", ("src", "tgt", "zero", "table")):
+            ident(f"{path}.src", e["src"], "object")
+            ident(f"{path}.tgt", e["tgt"], "object")
+            ident(f"{path}.zero", e["zero"], "morphism")
+            if not isinstance(e["table"], list):
+                fail(f"{path}.table", "expected a list")
+            for n, row in enumerate(e["table"]):
+                idents(f"{path}.table[{n}]", row, 3, "morphism")
 
 
 def _as_instance(doc: dict, where: str) -> Instance:

@@ -21,7 +21,14 @@ from .core import (
     validate_category,
     validate_functor,
 )
-from .denominators import DenominatorData, is_multiplicative, is_two_of_six, require_uni_fractionable
+from .denominators import (
+    DenominatorData,
+    completions,
+    factorisations,
+    is_multiplicative,
+    is_two_of_six,
+    require_uni_fractionable,
+)
 from .fileio import Instance
 from .three_arrows import (
     FractionPartition,
@@ -60,43 +67,17 @@ def strict_composites_all(dd: DenominatorData, t1: ThreeArrow, t2: ThreeArrow):
     Sweeps all (j, q) factorisations of b2 a1 and all weakly universal
     completions on both sides; used by the choice-independence check.
     """
-    from .denominators import is_weak_pullback, is_weak_pushout
-
     cat = dd.base
     b2a1 = cat.icomp[(t2.b, t1.a)]
-    for j in dd.s_sorted:
-        if cat.isrc[j] != cat.isrc[b2a1]:
-            continue
-        for q in dd.t_sorted:
-            if (
-                cat.isrc[q] != cat.itgt[j]
-                or cat.itgt[q] != cat.itgt[b2a1]
-                or cat.icomp[(j, q)] != b2a1
-            ):
-                continue
-            for f1p in cat.by_tgt[cat.isrc[q]]:
-                for q1 in cat.by_tgt[cat.isrc[t1.f]]:
-                    if (
-                        q1 not in dd.it
-                        or cat.isrc[q1] != cat.isrc[f1p]
-                        or cat.icomp[(f1p, q)] != cat.icomp[(q1, t1.f)]
-                        or not is_weak_pullback(cat, (q, t1.f, f1p, q1))
-                    ):
-                        continue
-                    for f2p in cat.by_src[cat.itgt[j]]:
-                        for j1 in cat.by_src[cat.itgt[t2.f]]:
-                            if (
-                                j1 not in dd.is_
-                                or cat.itgt[j1] != cat.itgt[f2p]
-                                or cat.icomp[(j, f2p)] != cat.icomp[(t2.f, j1)]
-                                or not is_weak_pushout(cat, (j, t2.f, f2p, j1))
-                            ):
-                                continue
-                            yield ThreeArrow(
-                                cat.icomp[(q1, t1.b)],
-                                cat.icomp[(f1p, f2p)],
-                                cat.icomp[(t2.a, j1)],
-                            )
+    op = dd.opposite()
+    for j, q in factorisations(cat, b2a1, dd.s_sorted, dd.t_sorted):
+        for f1p, q1 in completions(op, q, t1.f):
+            for f2p, j1 in completions(dd, j, t2.f):
+                yield ThreeArrow(
+                    cat.icomp[(q1, t1.b)],
+                    cat.icomp[(f1p, f2p)],
+                    cat.icomp[(t2.a, j1)],
+                )
 
 
 def lax_composite(
@@ -112,39 +93,22 @@ def lax_composites_all(dd: DenominatorData, t1: ThreeArrow, t2: ThreeArrow):
     """Every lax-mode composite: b2 a1 = d e, g1 e = e1 f1, d g2 = f2 d1
     with d, e, d1, e1 denominators and arbitrary middles g1, g2."""
     cat = dd.base
+    left_sol, right_sol = cat.solution_maps()
     b2a1 = cat.icomp[(t2.b, t1.a)]
-    for d in dd.den_sorted:
-        if cat.isrc[d] != cat.isrc[b2a1]:
-            continue
-        for e in dd.den_sorted:
-            if (
-                cat.isrc[e] != cat.itgt[d]
-                or cat.itgt[e] != cat.itgt[b2a1]
-                or cat.icomp[(d, e)] != b2a1
-            ):
+    for d, e in factorisations(cat, b2a1, dd.den_sorted, dd.den_sorted):
+        for e1 in dd.den_sorted:
+            if cat.itgt[e1] != cat.isrc[t1.f]:
                 continue
-            for e1 in dd.den_sorted:
-                if cat.itgt[e1] != cat.isrc[t1.f]:
-                    continue
-                e1f1 = cat.icomp[(e1, t1.f)]
-                for g1 in cat.by_src[cat.isrc[e1]]:
-                    if cat.itgt[g1] != cat.isrc[e] or cat.icomp[(g1, e)] != e1f1:
+            for g1 in left_sol.get((e, cat.icomp[(e1, t1.f)]), ()):
+                for d1 in dd.den_sorted:
+                    if cat.isrc[d1] != cat.itgt[t2.f]:
                         continue
-                    for d1 in dd.den_sorted:
-                        if cat.isrc[d1] != cat.itgt[t2.f]:
-                            continue
-                        f2d1 = cat.icomp[(t2.f, d1)]
-                        for g2 in cat.by_src[cat.itgt[d]]:
-                            if (
-                                cat.itgt[g2] != cat.itgt[d1]
-                                or cat.icomp[(d, g2)] != f2d1
-                            ):
-                                continue
-                            yield ThreeArrow(
-                                cat.icomp[(e1, t1.b)],
-                                cat.icomp[(g1, g2)],
-                                cat.icomp[(t2.a, d1)],
-                            )
+                    for g2 in right_sol.get((d, cat.icomp[(t2.f, d1)]), ()):
+                        yield ThreeArrow(
+                            cat.icomp[(e1, t1.b)],
+                            cat.icomp[(g1, g2)],
+                            cat.icomp[(t2.a, d1)],
+                        )
 
 
 def compose_fractions(

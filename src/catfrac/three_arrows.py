@@ -118,10 +118,7 @@ def fraction_generators(
     if variant == "one-step":
         # pairs (t, t2) with c, c2 solving b = c2 b2, f c = c2 f2, a c = a2
         pairs = []
-        by_right: dict[tuple[int, int], list[int]] = {}
-        for x in range(cat.n_morphisms):
-            for c in cat.by_src[cat.itgt[x]]:
-                by_right.setdefault((c, cat.icomp[(x, c)]), []).append(x)
+        left_sol = cat.solution_maps()[0]
         for t2 in arrows:
             for c2 in cat.by_tgt[cat.isrc[t2.b]]:
                 b = cat.icomp[(c2, t2.b)]
@@ -129,10 +126,10 @@ def fraction_generators(
                     continue
                 w = cat.icomp[(c2, t2.f)]
                 for c in cat.by_tgt[cat.itgt[t2.f]]:
-                    for f in by_right.get((c, w), []):
+                    for f in left_sol.get((c, w), []):
                         if cat.isrc[f] != cat.isrc[c2]:
                             continue
-                        for a in by_right.get((c, t2.a), []):
+                        for a in left_sol.get((c, t2.a), []):
                             if a in dd.iden:
                                 pairs.append((ThreeArrow(b, f, a), t2))
         return pairs

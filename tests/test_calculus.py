@@ -321,6 +321,16 @@ def test_factorisation_square_rejects_bad_inputs(named):
         factorisation_square(dd, "i_0", "i_0", "m_0_1", "i_1")  # no commuting
 
 
+@pytest.mark.parametrize(
+    "supplied", (("m_0_1", "m_0_1"), ("nope", "i_1")), ids=("not-composable", "unknown-id")
+)
+def test_factorisation_square_rejects_bad_supplied_pair(named, supplied):
+    with pytest.raises(DomainError):
+        factorisation_square(
+            named["CH3"], "m_0_1", "i_1", "m_0_1", "i_1", given="left", supplied=supplied
+        )
+
+
 def test_factorisation_square_sweep(named):
     # the search succeeds on every commuting denominator square of
     # CH3/DIA/DIA-B, and for every composable supplied S,T pair both

@@ -248,8 +248,33 @@ def test_monoid_instance_carries_no_poset_tables(tmp_path, capsys):
             lambda doc: doc["identities"].pop("1"),
             "identities: no identity for object '1'",
         ),
+        (
+            lambda doc: doc["coproducts"][0].pop("emb"),
+            "coproducts[0]: missing field 'emb'",
+        ),
+        (
+            lambda doc: doc["coproducts"][0].update(object="nope"),
+            "coproducts[0].object: unknown object id 'nope'",
+        ),
+        (
+            lambda doc: doc["products"][0].update(proj=["nope", "i_0"]),
+            "products[0].proj[0]: unknown morphism id 'nope'",
+        ),
+        (
+            lambda doc: doc["coproducts"][0].update(of=["0"]),
+            "coproducts[0].of: expected 2 ids",
+        ),
+        (lambda doc: doc.update(coproducts="abc"), "coproducts: expected a list"),
+        (
+            lambda doc: doc.update(addition=[{"src": "0", "zero": "i_0", "table": []}]),
+            "addition[0]: missing field 'tgt'",
+        ),
     ),
-    ids=("missing-src", "short-triple", "objects-string", "missing-identity"),
+    ids=(
+        "missing-src", "short-triple", "objects-string", "missing-identity",
+        "coproduct-without-emb", "unknown-object", "unknown-projection",
+        "short-of", "coproducts-string", "addition-without-tgt",
+    ),
 )
 def test_malformed_file_is_one_error_line(mutate, message, ch3_file, capsys):
     with open(ch3_file, encoding="utf-8") as handle:
@@ -258,8 +283,9 @@ def test_malformed_file_is_one_error_line(mutate, message, ch3_file, capsys):
     with open(ch3_file, "w", encoding="utf-8") as handle:
         json.dump(doc, handle)
     capsys.readouterr()
-    assert run(["validate", ch3_file]) == 1
-    captured = capsys.readouterr()
-    assert "Traceback" not in captured.out + captured.err
-    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and errors[0].endswith(message)
+    for argv in (["validate", ch3_file], ["check", ch3_file, "--suite", "all"]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].endswith(message)

@@ -9,6 +9,8 @@ from catfrac.denominators import (
     check_Fac,
     check_WU,
     classify_saturation,
+    completions,
+    factorisations,
     is_multiplicative,
     is_two_of_six,
     is_two_of_three,
@@ -136,6 +138,44 @@ def test_opposite_structure_swaps_s_and_t(name, named):
     assert sorted((swap[side], i, f) for side, i, f in dual.failures) == sorted(
         result.failures
     )
+
+
+def _z8_units_inverted():
+    labels = [str(k) for k in range(8)]
+    table = [[str(a * b % 8) for b in range(8)] for a in range(8)]
+    return make_monoid(labels, table, ["1", "3", "5", "7"], name="Z8")
+
+
+def test_shared_searches_match_brute_force(named):
+    # factorisations and completions yield exactly the brute-force hits
+    # over all candidate pairs, in index order
+    for dd in (*named.values(), chain(5), _z8_units_inverted()):
+        cat = dd.base
+        every = range(cat.n_morphisms)
+        for firsts, seconds in ((dd.s_sorted, dd.t_sorted), (dd.den_sorted, dd.den_sorted)):
+            for x in every:
+                brute = [
+                    (i, p)
+                    for i in firsts
+                    for p in seconds
+                    if cat.composable(i, p) and cat.icomp[(i, p)] == x
+                ]
+                assert list(factorisations(cat, x, firsts, seconds)) == brute
+        for side in (dd, dd.opposite()):
+            c = side.base
+            for i in side.s_sorted:
+                for f in c.by_src[c.isrc[i]]:
+                    brute = [
+                        (f2, i2)
+                        for f2 in every
+                        for i2 in side.s_sorted
+                        if c.composable(i, f2)
+                        and c.composable(f, i2)
+                        and c.itgt[f2] == c.itgt[i2]
+                        and c.icomp[(i, f2)] == c.icomp[(f, i2)]
+                        and is_weak_pushout(c, (i, f, f2, i2))
+                    ]
+                    assert list(completions(side, i, f)) == brute
 
 
 def test_check_wu_witnesses_revalidate(named):

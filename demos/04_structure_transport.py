@@ -11,12 +11,10 @@ additive shell.
 """
 
 from catfrac import build_fraction_category
+from catfrac.fileio import AdditionTables
 from catfrac.instances import make_monoid, make_named, poset_coproducts, poset_products
 from catfrac.three_arrows import ThreeArrow
 from catfrac.transport import (
-    AdditionTables,
-    CoproductData,
-    ProductData,
     check_localisation_preserves_coproducts,
     check_localisation_preserves_products,
     denominators_closed_under_coproducts,
@@ -28,8 +26,7 @@ from catfrac.transport import (
 # Lattice joins are chosen coproducts; meets are chosen products.
 
 dia = make_named("DIA")
-initial, entries = poset_coproducts(dia)
-cp = CoproductData.from_instance_entries(initial, entries)
+cp = poset_coproducts(dia)
 print("diamond joins validate as coproducts:",
       validate_coproducts(dia.base, cp) == [])
 print("denominators closed under joins:",
@@ -39,8 +36,8 @@ fc = build_fraction_category(dia)
 print("localisation preserves coproducts:",
       check_localisation_preserves_coproducts(fc, cp) == [])
 
-terminal, entries = poset_products(dia)
-pd = ProductData.from_instance_entries(terminal, entries)
+# a product table is the coproduct table of the opposite category
+pd = poset_products(dia)
 print("localisation preserves products:",
       check_localisation_preserves_products(fc, pd) == [])
 

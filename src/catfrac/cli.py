@@ -38,21 +38,11 @@ def _load(path: str):
 
 
 def cmd_validate(args) -> int:
-    inst, dd = _load(args.file)
+    _, dd = _load(args.file)
     report = validate_category(dd.base)
     for violation in report:
         print(violation)
-    extra = 0
-    for which, ids in (
-        ("denominators", inst.denominators),
-        ("s_denominators", inst.s_denominators),
-        ("t_denominators", inst.t_denominators),
-    ):
-        for f in ids:
-            if f not in dd.base.mor_index:
-                print(f"unknown-id: ({which}, {f})")
-                extra += 1
-    if report or extra:
+    if report:
         return 1
     print(f"valid: {dd.base.n_objects} objects, {dd.base.n_morphisms} morphisms")
     return 0
@@ -86,9 +76,7 @@ def cmd_localise(args) -> int:
 
 def cmd_equal(args) -> int:
     _, dd = _load(args.file)
-    cert = dd.certificate()
-    if not cert.ok:
-        raise AxiomError(cert.failed_axioms())
+    require_uni_fractionable(dd)
     left = parse_three_arrow(dd, args.left)
     right = parse_three_arrow(dd, args.right)
     results = {}
@@ -123,8 +111,7 @@ def cmd_compose(args) -> int:
 
 def cmd_normalise(args) -> int:
     _, dd = _load(args.file)
-    if not dd.certificate().ok:
-        raise AxiomError(dd.certificate().failed_axioms())
+    require_uni_fractionable(dd)
     t = parse_three_arrow(dd, args.arrow)
     result = normalise(dd, t)
     assert is_normal(dd, result)
@@ -132,12 +119,7 @@ def cmd_normalise(args) -> int:
     return 0
 
 
-def _suite_axioms(inst, dd) -> list[str]:
-    lines = dd.certificate().lines()
-    return lines
-
-
-def _suite_theorem(inst, dd) -> list[str]:
+def _suite_theorem(dd) -> list[str]:
     if not dd.certificate().ok:
         return ["theorem SKIP (structure axioms fail)"]
     part = fraction_equivalence(dd)
@@ -158,9 +140,6 @@ def _suite_theorem(inst, dd) -> list[str]:
 
 def _suite_transport(inst, dd) -> list[str]:
     from .transport import (
-        AdditionTables,
-        CoproductData,
-        ProductData,
         check_localisation_preserves_coproducts,
         check_localisation_preserves_products,
         sum_formula_check,
@@ -172,16 +151,15 @@ def _suite_transport(inst, dd) -> list[str]:
         return ["transport SKIP (category laws fail)"]
     lines = []
     fc = None
-    for kind, unit, entries, data, validate, preserves in (
-        ("coproduct", inst.initial, inst.coproducts, CoproductData,
+    for kind, table, validate, preserves in (
+        ("coproduct", inst.coproducts,
          validate_coproducts, check_localisation_preserves_coproducts),
-        ("product", inst.terminal, inst.products, ProductData,
+        ("product", inst.products,
          validate_products, check_localisation_preserves_products),
     ):
-        if unit is None or entries is None:
+        if table is None:
             lines.append(f"{kind}s-valid SKIP (no {kind} data)")
             continue
-        table = data.from_instance_entries(unit, entries)
         bad = validate(dd.base, table)
         lines.append(f"{kind}s-valid {'PASS' if not bad else 'FAIL'}")
         if not bad:
@@ -189,9 +167,8 @@ def _suite_transport(inst, dd) -> list[str]:
             bad = preserves(fc, table)
             lines.append(f"{kind}s-preserved {'PASS' if not bad else 'FAIL'}")
     if inst.addition is not None:
-        add = AdditionTables.from_instance_entries(inst.addition)
         fc = fc or build_fraction_category(dd)
-        bad = sum_formula_check(fc, add)
+        bad = sum_formula_check(fc, inst.addition)
         lines.append(f"sum-formula {'PASS' if not bad else 'FAIL'}")
     return lines
 
@@ -200,9 +177,9 @@ def cmd_check(args) -> int:
     inst, dd = _load(args.file)
     lines: list[str] = []
     if args.suite in ("axioms", "all"):
-        lines += _suite_axioms(inst, dd)
+        lines += dd.certificate().lines()
     if args.suite in ("theorem", "all"):
-        lines += _suite_theorem(inst, dd)
+        lines += _suite_theorem(dd)
     if args.suite in ("transport", "all"):
         lines += _suite_transport(inst, dd)
     for line in lines:

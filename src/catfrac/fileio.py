@@ -11,6 +11,15 @@ The writer sorts every set-like list by morphism/object index and emits
 two-space indentation, so two semantically equal instances serialise to
 byte-identical documents and writer(loader(file)) == file for files the
 writer produced.
+
+This module is the only one that knows the JSON shape of the optional
+fields.  The loader reads ``initial``/``coproducts`` into a
+:class:`CoproductData`, ``terminal``/``products`` into the coproduct table
+of the opposite category (the terminal object as its unit, the
+projections as its legs) and ``addition`` into :class:`AdditionTables`.
+It refuses what those keyed tables cannot hold losslessly: a unit without
+its table or the reverse, a repeated pair, block or row, and an addition
+row whose first summand lies outside its block's hom.
 """
 
 from __future__ import annotations
@@ -22,6 +31,30 @@ from .core import DomainError, FinCategory
 
 
 @dataclass
+class CoproductData:
+    """Chosen initial object and pairwise coproducts (object, emb1, emb2).
+
+    A product table is the coproduct table of the opposite category: the
+    terminal object sits in ``initial`` and the projections are the legs.
+    """
+
+    initial: str
+    pairwise: dict[tuple[str, str], tuple[str, str, str]]
+
+
+@dataclass
+class AdditionTables:
+    """Hom-wise commutative-monoid addition.
+
+    ``zero[(x, y)]`` names the additive unit of hom(x, y) and
+    ``plus[(f, g)]`` the sum of two parallel morphisms.
+    """
+
+    zero: dict[tuple[str, str], str]
+    plus: dict[tuple[str, str], str]
+
+
+@dataclass
 class Instance:
     """A category with denominator structure, plus optional extras."""
 
@@ -29,19 +62,17 @@ class Instance:
     denominators: list[str]
     s_denominators: list[str]
     t_denominators: list[str]
-    initial: str | None = None
-    coproducts: list[dict] | None = None
-    terminal: str | None = None
-    products: list[dict] | None = None
-    addition: list[dict] | None = None
+    coproducts: CoproductData | None = None
+    products: CoproductData | None = None
+    addition: AdditionTables | None = None
     classes: dict[str, list[str]] | None = None
     localisation: dict[str, str] | None = None
 
 
-def _check_schema(doc: dict, where: str) -> None:
-    """Shape of the category fields, and shape and resolving ids of the
-    optional unit, (co)product and addition fields; each error names its
-    JSON path."""
+def _as_instance(doc: dict, where: str) -> Instance:
+    """Check the shape of the category fields, build the category, then
+    check and build the optional unit, (co)product and addition tables;
+    each error names its JSON path."""
 
     def fail(path: str, msg: str):
         raise DomainError(f"{where}: {path}: {msg}")
@@ -77,10 +108,20 @@ def _check_schema(doc: dict, where: str) -> None:
         if not is_ids(doc.get(key, [])):
             fail(key, "expected a list of strings")
 
-    known = {
-        "object": set(doc["objects"]),
-        "morphism": {m["id"] for m in doc["morphisms"]},
-    }
+    cat = FinCategory(
+        doc["name"],
+        list(doc["objects"]),
+        [m["id"] for m in doc["morphisms"]],
+        {m["id"]: m["src"] for m in doc["morphisms"]},
+        {m["id"]: m["tgt"] for m in doc["morphisms"]},
+        dict(doc["identities"]),
+        {(f, g): h for f, g, h in doc["composition"]},
+    )
+    for key in ("denominators", "s_denominators", "t_denominators"):
+        for f in doc.get(key, []):
+            if f not in cat.mor_index:
+                raise DomainError(f"{where}: unknown morphism id {f!r} in {key}")
+    known = {"object": cat.obj_index, "morphism": cat.mor_index}
 
     def ident(path: str, value, kind: str) -> None:
         if not isinstance(value, str):
@@ -106,52 +147,54 @@ def _check_schema(doc: dict, where: str) -> None:
                     fail(path, f"missing field {field!r}")
             yield path, entry
 
-    for key in ("initial", "terminal"):
-        if doc.get(key) is not None:
-            ident(key, doc[key], "object")
-    for key, legs in (("coproducts", "emb"), ("products", "proj")):
-        if doc.get(key) is not None:
-            for path, e in records(key, ("of", "object", legs)):
-                idents(f"{path}.of", e["of"], 2, "object")
-                ident(f"{path}.object", e["object"], "object")
-                idents(f"{path}.{legs}", e[legs], 2, "morphism")
+    def coproduct_table(unit: str, key: str, legs: str) -> CoproductData | None:
+        if doc.get(unit) is None and doc.get(key) is None:
+            return None
+        for given, other in ((unit, key), (key, unit)):
+            if doc.get(other) is None:
+                fail(given, f"given without {other!r}")
+        ident(unit, doc[unit], "object")
+        pairwise: dict[tuple[str, str], tuple[str, str, str]] = {}
+        for path, e in records(key, ("of", "object", legs)):
+            idents(f"{path}.of", e["of"], 2, "object")
+            ident(f"{path}.object", e["object"], "object")
+            idents(f"{path}.{legs}", e[legs], 2, "morphism")
+            pair = (e["of"][0], e["of"][1])
+            if pair in pairwise:
+                fail(f"{path}.of", f"repeated pair {pair}")
+            pairwise[pair] = (e["object"], e[legs][0], e[legs][1])
+        return CoproductData(doc[unit], pairwise)
+
+    addition = None
     if doc.get("addition") is not None:
+        addition = AdditionTables({}, {})
         for path, e in records("addition", ("src", "tgt", "zero", "table")):
             ident(f"{path}.src", e["src"], "object")
             ident(f"{path}.tgt", e["tgt"], "object")
             ident(f"{path}.zero", e["zero"], "morphism")
+            block = (e["src"], e["tgt"])
+            if block in addition.zero:
+                fail(path, f"repeated block {block}")
+            addition.zero[block] = e["zero"]
             if not isinstance(e["table"], list):
                 fail(f"{path}.table", "expected a list")
             for n, row in enumerate(e["table"]):
                 idents(f"{path}.table[{n}]", row, 3, "morphism")
+                f, g, total = row
+                if (cat.src_of(f), cat.tgt_of(f)) != block:
+                    fail(f"{path}.table[{n}][0]", f"{f!r} is not in hom{block}")
+                if (f, g) in addition.plus:
+                    fail(f"{path}.table[{n}]", f"repeated summands {(f, g)}")
+                addition.plus[(f, g)] = total
 
-
-def _as_instance(doc: dict, where: str) -> Instance:
-    _check_schema(doc, where)
-    morphisms = [m["id"] for m in doc["morphisms"]]
-    cat = FinCategory(
-        doc["name"],
-        list(doc["objects"]),
-        morphisms,
-        {m["id"]: m["src"] for m in doc["morphisms"]},
-        {m["id"]: m["tgt"] for m in doc["morphisms"]},
-        dict(doc["identities"]),
-        {(f, g): h for f, g, h in doc["composition"]},
-    )
-    for key in ("denominators", "s_denominators", "t_denominators"):
-        for f in doc.get(key, []):
-            if f not in cat.mor_index:
-                raise DomainError(f"{where}: unknown morphism id {f!r} in {key}")
     return Instance(
         category=cat,
         denominators=list(doc.get("denominators", [])),
         s_denominators=list(doc.get("s_denominators", [])),
         t_denominators=list(doc.get("t_denominators", [])),
-        initial=doc.get("initial"),
-        coproducts=doc.get("coproducts"),
-        terminal=doc.get("terminal"),
-        products=doc.get("products"),
-        addition=doc.get("addition"),
+        coproducts=coproduct_table("initial", "coproducts", "emb"),
+        products=coproduct_table("terminal", "products", "proj"),
+        addition=addition,
         classes=doc.get("classes"),
         localisation=doc.get("localisation"),
     )
@@ -195,42 +238,29 @@ def dumps(inst: Instance) -> str:
         "s_denominators": mors(inst.s_denominators),
         "t_denominators": mors(inst.t_denominators),
     }
-    if inst.initial is not None:
-        doc["initial"] = inst.initial
-    if inst.coproducts is not None:
-        doc["coproducts"] = sorted(
-            (
-                {"of": list(e["of"]), "object": e["object"], "emb": list(e["emb"])}
-                for e in inst.coproducts
-            ),
-            key=lambda e: (oi[e["of"][0]], oi[e["of"][1]]),
-        )
-    if inst.terminal is not None:
-        doc["terminal"] = inst.terminal
-    if inst.products is not None:
-        doc["products"] = sorted(
-            (
-                {"of": list(e["of"]), "object": e["object"], "proj": list(e["proj"])}
-                for e in inst.products
-            ),
-            key=lambda e: (oi[e["of"][0]], oi[e["of"][1]]),
-        )
+    for unit, key, legs, table in (
+        ("initial", "coproducts", "emb", inst.coproducts),
+        ("terminal", "products", "proj", inst.products),
+    ):
+        if table is not None:
+            doc[unit] = table.initial
+            doc[key] = [
+                {"of": list(pair), "object": table.pairwise[pair][0],
+                 legs: list(table.pairwise[pair][1:])}
+                for pair in sorted(table.pairwise, key=lambda p: (oi[p[0]], oi[p[1]]))
+            ]
     if inst.addition is not None:
-        doc["addition"] = sorted(
-            (
-                {
-                    "src": e["src"],
-                    "tgt": e["tgt"],
-                    "zero": e["zero"],
-                    "table": sorted(
-                        [list(row) for row in e["table"]],
-                        key=lambda row: (mi[row[0]], mi[row[1]]),
-                    ),
-                }
-                for e in inst.addition
-            ),
-            key=lambda e: (oi[e["src"]], oi[e["tgt"]]),
-        )
+        # each row goes to the block of its first summand's hom
+        rows: dict[tuple[str, str], list[list[str]]] = {}
+        plus = inst.addition.plus
+        for f, g in sorted(plus, key=lambda p: (mi[p[0]], mi[p[1]])):
+            hom = (cat.src_of(f), cat.tgt_of(f))
+            rows.setdefault(hom, []).append([f, g, plus[(f, g)]])
+        doc["addition"] = [
+            {"src": x, "tgt": y, "zero": inst.addition.zero[(x, y)],
+             "table": rows.get((x, y), [])}
+            for x, y in sorted(inst.addition.zero, key=lambda p: (oi[p[0]], oi[p[1]]))
+        ]
     # classes/localisation key order is fixed by the builder (class order,
     # base morphism order); insertion order is the canonical order here
     if inst.classes is not None:

@@ -146,9 +146,6 @@ class FractionCategory:
     def class_id(self, t: ThreeArrow) -> str:
         return self.partition.class_id(t)
 
-    def compose_ids(self, c1: str, c2: str) -> str:
-        return self.as_category.compose(c1, c2)
-
 
 def build_fraction_category(dd: DenominatorData) -> FractionCategory:
     """Assemble the fraction category over a certified structure.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .core import DomainError, FinCategory
 from .denominators import DenominatorData
-from .fileio import Instance
+from .fileio import CoproductData, Instance
 
 NAMED = ("WALK", "CH3", "DIA", "DIA-B", "PAR", "IDEM", "Z4")
 
@@ -186,7 +186,7 @@ def make_named(name: str) -> DenominatorData:
     raise DomainError(f"unknown instance name {name!r}; known: {', '.join(NAMED)}")
 
 
-def poset_coproducts(dd: DenominatorData) -> tuple[str, list[dict]]:
+def poset_coproducts(dd: DenominatorData) -> CoproductData:
     """Joins and bottom of a poset instance, as chosen-coproduct data.
 
     Raises DomainError unless the base is a poset: at most one arrow per
@@ -201,7 +201,11 @@ def poset_coproducts(dd: DenominatorData) -> tuple[str, list[dict]]:
     bottoms = [x for x in cat.objects if all((x, y) in leq for y in cat.objects)]
     if not bottoms:
         raise DomainError(f"{cat.name} has no bottom element")
-    entries = []
+
+    def arrow(x: str, y: str) -> str:
+        return cat.morphisms[cat.hom(cat.obj_index[x], cat.obj_index[y])[0]]
+
+    pairwise = {}
     for x in cat.objects:
         for y in cat.objects:
             ubs = [z for z in cat.objects if (x, z) in leq and (y, z) in leq]
@@ -209,26 +213,14 @@ def poset_coproducts(dd: DenominatorData) -> tuple[str, list[dict]]:
             if not joins:
                 raise DomainError(f"no join for ({x!r}, {y!r}) in {cat.name}")
             j = joins[0]
-            entries.append(
-                {
-                    "of": [x, y],
-                    "object": j,
-                    "emb": [
-                        cat.morphisms[cat.hom(cat.obj_index[x], cat.obj_index[j])[0]],
-                        cat.morphisms[cat.hom(cat.obj_index[y], cat.obj_index[j])[0]],
-                    ],
-                }
-            )
-    return bottoms[0], entries
+            pairwise[(x, y)] = (j, arrow(x, j), arrow(y, j))
+    return CoproductData(bottoms[0], pairwise)
 
 
-def poset_products(dd: DenominatorData) -> tuple[str, list[dict]]:
+def poset_products(dd: DenominatorData) -> CoproductData:
     """Meets and top of a poset instance: the joins and bottom of its
-    opposite, read as chosen-product data."""
-    top, entries = poset_coproducts(dd.opposite())
-    return top, [
-        {"of": e["of"], "object": e["object"], "proj": e["emb"]} for e in entries
-    ]
+    opposite, which is how a product table is held."""
+    return poset_coproducts(dd.opposite())
 
 
 def as_instance(dd: DenominatorData, with_structure: bool = False) -> Instance:
@@ -241,8 +233,8 @@ def as_instance(dd: DenominatorData, with_structure: bool = False) -> Instance:
     )
     if with_structure:
         try:
-            inst.initial, inst.coproducts = poset_coproducts(dd)
-            inst.terminal, inst.products = poset_products(dd)
+            inst.coproducts = poset_coproducts(dd)
+            inst.products = poset_products(dd)
         except DomainError:
             pass
     return inst

@@ -1,7 +1,8 @@
 """Transport of finite (co)products and hom-addition to the fraction side.
 
 Chosen coproducts are supplied as a table (pair of objects -> coproduct
-object with embeddings) plus an initial object; products dually.  The
+object with embeddings) plus an initial object; chosen products as the
+coproduct table of the opposite category (``fileio.CoproductData``).  The
 checks here verify the universal properties in the base, decide closure
 of D under the induced morphism (co)products by both available routes,
 and confirm that localising preserves the whole structure, embedding by
@@ -11,56 +12,12 @@ embedding, including the shared-leg induced-morphism formula.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .core import DomainError, FinCategory, Violation
 from .denominators import DenominatorData
+from .fileio import AdditionTables, CoproductData
 from .fraction import FractionCategory
 from .three_arrows import ThreeArrow, common_denominator
-
-
-@dataclass
-class CoproductData:
-    """Chosen initial object and pairwise coproducts (object, emb1, emb2)."""
-
-    initial: str
-    pairwise: dict[tuple[str, str], tuple[str, str, str]]
-
-    @staticmethod
-    def from_instance_entries(initial: str, entries: list[dict]) -> "CoproductData":
-        return CoproductData(
-            initial,
-            {
-                (e["of"][0], e["of"][1]): (e["object"], e["emb"][0], e["emb"][1])
-                for e in entries
-            },
-        )
-
-
-@dataclass
-class ProductData:
-    """Chosen terminal object and pairwise products (object, proj1, proj2).
-
-    These are exactly chosen coproducts of the opposite category, which is
-    how every product check below is decided.
-    """
-
-    terminal: str
-    pairwise: dict[tuple[str, str], tuple[str, str, str]]
-
-    @staticmethod
-    def from_instance_entries(terminal: str, entries: list[dict]) -> "ProductData":
-        return ProductData(
-            terminal,
-            {
-                (e["of"][0], e["of"][1]): (e["object"], e["proj"][0], e["proj"][1])
-                for e in entries
-            },
-        )
-
-    def as_coproducts(self) -> CoproductData:
-        """The same table read as coproduct data of the opposite category."""
-        return CoproductData(self.terminal, self.pairwise)
 
 
 def _unique_mediators(cat: FinCategory, c: int, e1: int, e2: int, f1: int, f2: int):
@@ -109,13 +66,13 @@ def validate_coproducts(cat: FinCategory, cp: CoproductData) -> list[Violation]:
     return report
 
 
-def validate_products(cat: FinCategory, pd: ProductData) -> list[Violation]:
+def validate_products(cat: FinCategory, pd: CoproductData) -> list[Violation]:
     """Exhaustive universal-property check; empty report iff valid.
 
     Decided as the coproduct check of the opposite category, with the
     violation codes renamed to their product duals.
     """
-    return _dual_codes(validate_coproducts(cat.opposite(), pd.as_coproducts()))
+    return _dual_codes(validate_coproducts(cat.opposite(), pd))
 
 
 def _dual_codes(report: list[Violation]) -> list[Violation]:
@@ -157,15 +114,15 @@ def coproduct_of_morphisms(cat: FinCategory, cp: CoproductData,
     )
 
 
-def product_induced(cat: FinCategory, pd: ProductData, y1: str, y2: str,
+def product_induced(cat: FinCategory, pd: CoproductData, y1: str, y2: str,
                     f1: int, f2: int) -> int:
     """The mediator into y1 x y2: the coproduct mediator of the opposite."""
-    return coproduct_induced(cat.opposite(), pd.as_coproducts(), y1, y2, f1, f2)
+    return coproduct_induced(cat.opposite(), pd, y1, y2, f1, f2)
 
 
-def product_of_morphisms(cat: FinCategory, pd: ProductData, d: int, e: int) -> int:
+def product_of_morphisms(cat: FinCategory, pd: CoproductData, d: int, e: int) -> int:
     """d x e, the induced morphism between the chosen products."""
-    return coproduct_of_morphisms(cat.opposite(), pd.as_coproducts(), d, e)
+    return coproduct_of_morphisms(cat.opposite(), pd, d, e)
 
 
 def denominators_closed_under_coproducts(
@@ -200,11 +157,11 @@ def denominators_closed_under_coproducts(
 
 
 def denominators_closed_under_products(
-    dd: DenominatorData, pd: ProductData
+    dd: DenominatorData, pd: CoproductData
 ) -> tuple[bool, tuple[str, str] | None]:
     """Closure of D under morphism products: coproduct closure of the
     opposite structure."""
-    return denominators_closed_under_coproducts(dd.opposite(), pd.as_coproducts())
+    return denominators_closed_under_coproducts(dd.opposite(), pd)
 
 
 def _preservation_sweep(
@@ -293,7 +250,7 @@ def check_localisation_preserves_coproducts(
 
 
 def check_localisation_preserves_products(
-    fc: FractionCategory, pd: ProductData
+    fc: FractionCategory, pd: CoproductData
 ) -> list[Violation]:
     """Terminal object, pairwise products and the induced-class formula.
 
@@ -318,30 +275,9 @@ def check_localisation_preserves_products(
         return ThreeArrow(s1.b, middle, asum)
 
     return _dual_codes(_preservation_sweep(
-        cat.opposite(), fc.as_category.opposite(), fc, pd.as_coproducts(),
+        cat.opposite(), fc.as_category.opposite(), fc, pd,
         formula, "induced-class-formula-product",
     ))
-
-
-@dataclass
-class AdditionTables:
-    """Hom-wise commutative-monoid addition, from the instance file.
-
-    ``zero[(x, y)]`` names the additive unit of hom(x, y) and
-    ``plus[(f, g)]`` the sum of two parallel morphisms.
-    """
-
-    zero: dict[tuple[str, str], str]
-    plus: dict[tuple[str, str], str]
-
-    @staticmethod
-    def from_instance_entries(entries: list[dict]) -> "AdditionTables":
-        zero = {(e["src"], e["tgt"]): e["zero"] for e in entries}
-        plus = {}
-        for e in entries:
-            for lhs, rhs, total in e["table"]:
-                plus[(lhs, rhs)] = total
-        return AdditionTables(zero, plus)
 
 
 def validate_addition(cat: FinCategory, add: AdditionTables) -> list[Violation]:
@@ -367,9 +303,10 @@ def validate_addition(cat: FinCategory, add: AdditionTables) -> list[Violation]:
                 report.append(Violation("zero-law", (f,)))
             for g in members:
                 for h in members:
-                    lhs = add.plus.get((add.plus[(f, g)], h))
-                    rhs = add.plus.get((f, add.plus[(g, h)]))
-                    if lhs != rhs:
+                    fg, gh = add.plus.get((f, g)), add.plus.get((g, h))
+                    if fg is None or gh is None:
+                        continue  # already reported as a missing sum
+                    if add.plus.get((fg, h)) != add.plus.get((f, gh)):
                         report.append(Violation("not-associative", (f, g, h)))
     if report:
         return report

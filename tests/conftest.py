@@ -2,10 +2,33 @@ from collections import defaultdict, deque
 
 import pytest
 
-from catfrac.instances import make_named
+from catfrac.fileio import AdditionTables
+from catfrac.instances import make_monoid, make_named
 from catfrac.three_arrows import enumerate_three_arrows, fraction_generators
 
 POSITIVE = ("WALK", "CH3", "DIA", "DIA-B", "PAR", "Z4")
+
+
+def z2_shell():
+    """The multiplicative monoid of Z/2 with the ring's addition."""
+    dd = make_monoid(["z", "u"], [["z", "z"], ["z", "u"]], ["u"], name="Z2SHELL")
+    add = AdditionTables(
+        zero={("pt", "pt"): "z"},
+        plus={
+            ("z", "z"): "z", ("z", "u"): "u",
+            ("u", "z"): "u", ("u", "u"): "z",
+        },
+    )
+    return dd, add
+
+
+def poset_addition(dd):
+    """The only addition a poset carries: each hom-set is its own zero."""
+    cat = dd.base
+    return AdditionTables(
+        zero={(cat.src_of(f), cat.tgt_of(f)): f for f in cat.morphisms},
+        plus={(f, f): f for f in cat.morphisms},
+    )
 
 
 @pytest.fixture(scope="session")

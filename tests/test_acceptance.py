@@ -42,8 +42,6 @@ from catfrac.three_arrows import (
     target_of,
 )
 from catfrac.transport import (
-    CoproductData,
-    ProductData,
     check_localisation_preserves_coproducts,
     check_localisation_preserves_products,
     denominators_closed_under_coproducts,
@@ -310,10 +308,7 @@ def test_criterion_11_transport():
     problems = []
     for name in ("CH3", "DIA"):
         dd = make_named(name)
-        initial, cp_entries = poset_coproducts(dd)
-        terminal, pd_entries = poset_products(dd)
-        cp = CoproductData.from_instance_entries(initial, cp_entries)
-        pd = ProductData.from_instance_entries(terminal, pd_entries)
+        cp, pd = poset_coproducts(dd), poset_products(dd)
         if validate_coproducts(dd.base, cp) or validate_products(dd.base, pd):
             problems.append(f"{name}: structure data invalid")
             continue

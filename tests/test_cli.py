@@ -1,11 +1,17 @@
+import contextlib
+import copy
+import io
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catfrac import fileio
 from catfrac.cli import run
+from catfrac.instances import as_instance, make_named
 
-from conftest import POSITIVE
+from conftest import POSITIVE, poset_addition
 
 
 @pytest.fixture()
@@ -235,6 +241,11 @@ def test_monoid_instance_carries_no_poset_tables(tmp_path, capsys):
     assert "products-valid SKIP (no product data)" in lines
 
 
+ZERO_BLOCK = {
+    "src": "0", "tgt": "0", "zero": "i_0", "table": [["i_0", "i_0", "i_0"]]
+}
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     (
@@ -269,11 +280,38 @@ def test_monoid_instance_carries_no_poset_tables(tmp_path, capsys):
             lambda doc: doc.update(addition=[{"src": "0", "zero": "i_0", "table": []}]),
             "addition[0]: missing field 'tgt'",
         ),
+        (lambda doc: doc.pop("coproducts"), "initial: given without 'coproducts'"),
+        (lambda doc: doc.pop("initial"), "coproducts: given without 'initial'"),
+        (lambda doc: doc.pop("products"), "terminal: given without 'products'"),
+        (lambda doc: doc.pop("terminal"), "products: given without 'terminal'"),
+        (
+            lambda doc: doc["products"].append(dict(doc["products"][4])),
+            "products[9].of: repeated pair ('1', '1')",
+        ),
+        (
+            lambda doc: doc.update(addition=[ZERO_BLOCK, ZERO_BLOCK]),
+            "addition[1]: repeated block ('0', '0')",
+        ),
+        (
+            lambda doc: doc.update(
+                addition=[dict(ZERO_BLOCK, table=[["i_1", "i_1", "i_1"]])]
+            ),
+            "addition[0].table[0][0]: 'i_1' is not in hom('0', '0')",
+        ),
+        (
+            lambda doc: doc.update(
+                addition=[dict(ZERO_BLOCK, table=ZERO_BLOCK["table"] * 2)]
+            ),
+            "addition[0].table[1]: repeated summands ('i_0', 'i_0')",
+        ),
     ),
     ids=(
         "missing-src", "short-triple", "objects-string", "missing-identity",
         "coproduct-without-emb", "unknown-object", "unknown-projection",
         "short-of", "coproducts-string", "addition-without-tgt",
+        "initial-without-coproducts", "coproducts-without-initial",
+        "terminal-without-products", "products-without-terminal",
+        "repeated-pair", "repeated-block", "row-outside-block", "repeated-row",
     ),
 )
 def test_malformed_file_is_one_error_line(mutate, message, ch3_file, capsys):
@@ -289,3 +327,73 @@ def test_malformed_file_is_one_error_line(mutate, message, ch3_file, capsys):
         assert "Traceback" not in captured.out + captured.err
         errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
         assert len(errors) == 1 and errors[0].endswith(message)
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = run(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+def test_missing_sums_fail_check_with_one_error_line(ch3_file):
+    with open(ch3_file, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["addition"] = [dict(ZERO_BLOCK, table=[])]
+    with open(ch3_file, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    status, out, err = run_captured(["check", ch3_file, "--suite", "transport"])
+    assert status == 1
+    assert "Traceback" not in out + err
+    assert err.splitlines() == [
+        "error: addition tables invalid: missing-zero: (0, 1)"
+    ]
+
+
+def _leaves(value, path):
+    """JSON paths of every leaf below ``value``."""
+    if isinstance(value, (dict, list)):
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        for key, child in items:
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path
+
+
+def _with_all_tables(name):
+    dd = make_named(name)
+    inst = as_instance(dd, with_structure=True)
+    return json.loads(fileio.dumps(replace(inst, addition=poset_addition(dd))))
+
+
+TABLE_DOCS = {name: _with_all_tables(name) for name in ("CH3", "DIA")}
+TABLE_LEAVES = [
+    (name, path)
+    for name, doc in TABLE_DOCS.items()
+    for key in ("initial", "coproducts", "terminal", "products", "addition")
+    for path in _leaves(doc[key], (key,))
+]
+DELETE = "<delete>"
+
+
+@given(st.sampled_from(TABLE_LEAVES), st.data())
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_mutated_tables_give_at_most_one_error_line(tmp_path_factory, leaf, data):
+    name, path = leaf
+    doc = copy.deepcopy(TABLE_DOCS[name])
+    ids = doc["objects"] + [m["id"] for m in doc["morphisms"]]
+    value = data.draw(st.sampled_from(ids + ["nope", 0, None, [], DELETE]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value == DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.copy(value)
+    file = tmp_path_factory.getbasetemp() / "mutated.json"
+    file.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["validate", str(file)], ["check", str(file), "--suite", "all"]):
+        status, out, err = run_captured(argv)
+        assert status in (0, 1)
+        assert "Traceback" not in out + err
+        assert sum(line.startswith("error:") for line in err.splitlines()) <= 1

@@ -1,13 +1,20 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from catfrac import fileio
 from catfrac.core import DomainError
 from catfrac.fraction import build_fraction_category, fraction_instance
-from catfrac.instances import as_instance, from_instance, make_named
+from catfrac.instances import (
+    as_instance,
+    from_instance,
+    make_named,
+    poset_coproducts,
+    poset_products,
+)
 
-from conftest import POSITIVE
+from conftest import POSITIVE, poset_addition, z2_shell
 
 
 @pytest.mark.parametrize("name", POSITIVE + ("IDEM",))
@@ -69,3 +76,30 @@ def test_unknown_morphism_endpoint_rejected():
     doc["morphisms"][0]["src"] = "ghost"
     with pytest.raises(DomainError):
         fileio.loads(json.dumps(doc))
+
+
+def test_product_table_is_the_coproduct_table_of_the_opposite():
+    dd = make_named("DIA")
+    inst = fileio.loads(fileio.dumps(as_instance(dd, with_structure=True)))
+    assert inst.coproducts == poset_coproducts(dd)
+    assert inst.products == poset_products(dd)
+    assert inst.products == poset_coproducts(dd.opposite())
+
+
+@pytest.mark.parametrize("shell", ("Z2", "CH3"))
+def test_addition_tables_round_trip(shell):
+    if shell == "Z2":
+        dd, add = z2_shell()
+    else:
+        dd = make_named(shell)
+        add = poset_addition(dd)
+    text = fileio.dumps(replace(as_instance(dd), addition=add))
+    assert fileio.loads(text).addition == add
+    assert fileio.dumps(fileio.loads(text)) == text
+    # rows and blocks are set-like: any order serialises to the same bytes
+    doc = json.loads(text)
+    doc["addition"].reverse()
+    for block in doc["addition"]:
+        block["table"].reverse()
+    assert json.dumps(doc, indent=2) + "\n" != text
+    assert fileio.dumps(fileio.loads(json.dumps(doc))) == text

@@ -1,20 +1,15 @@
 import pytest
 
 from catfrac.core import DomainError, Violation
+from catfrac.fileio import AdditionTables, CoproductData
 from catfrac.fraction import build_fraction_category
 from catfrac.instances import (
-    chain,
-    make_monoid,
-    make_named,
     make_poset,
     poset_coproducts,
     poset_products,
 )
 from catfrac.three_arrows import ThreeArrow
 from catfrac.transport import (
-    AdditionTables,
-    CoproductData,
-    ProductData,
     check_localisation_preserves_coproducts,
     check_localisation_preserves_products,
     coproduct_of_morphisms,
@@ -27,27 +22,19 @@ from catfrac.transport import (
     validate_products,
 )
 
-
-def coproduct_data(dd):
-    initial, entries = poset_coproducts(dd)
-    return CoproductData.from_instance_entries(initial, entries)
-
-
-def product_data(dd):
-    terminal, entries = poset_products(dd)
-    return ProductData.from_instance_entries(terminal, entries)
+from conftest import z2_shell
 
 
 @pytest.mark.parametrize("name", ("CH3", "DIA"))
 def test_poset_joins_are_coproducts(name, named):
     dd = named[name]
-    assert validate_coproducts(dd.base, coproduct_data(dd)) == []
-    assert validate_products(dd.base, product_data(dd)) == []
+    assert validate_coproducts(dd.base, poset_coproducts(dd)) == []
+    assert validate_products(dd.base, poset_products(dd)) == []
 
 
 def test_planted_wrong_embedding_reported(named):
     dd = named["CH3"]
-    cp = coproduct_data(dd)
+    cp = poset_coproducts(dd)
     cp.pairwise[("0", "1")] = ("2", "m_0_2", "m_1_2")
     report = validate_coproducts(dd.base, cp)
     assert any(v.code == "coproduct-universal-property" for v in report)
@@ -55,13 +42,13 @@ def test_planted_wrong_embedding_reported(named):
 
 def test_planted_wrong_projection_reported(named):
     dd = named["CH3"]
-    pd = product_data(dd)
+    pd = poset_products(dd)
     # the dual plant: 0 with valid projections in place of the meet 1 of (1, 2)
     pd.pairwise[("1", "2")] = ("0", "m_0_1", "m_0_2")
     report = validate_products(dd.base, pd)
     assert Violation("product-universal-property", ("1", "2", "i_1", "m_1_2")) in report
     # swapped projections of a poset product never end where they should
-    pd = product_data(dd)
+    pd = poset_products(dd)
     obj, pr1, pr2 = pd.pairwise[("0", "1")]
     pd.pairwise[("0", "1")] = (obj, pr2, pr1)
     assert validate_products(dd.base, pd) == [
@@ -71,7 +58,7 @@ def test_planted_wrong_projection_reported(named):
 
 def test_ch3_denominator_closure_trace(named):
     dd = named["CH3"]
-    cp = coproduct_data(dd)
+    cp = poset_coproducts(dd)
     cat = dd.base
     mi = cat.mor_index
     m01 = mi["m_0_1"]
@@ -84,13 +71,13 @@ def test_ch3_denominator_closure_trace(named):
 
 def test_dia_closure_trivial(named):
     dd = named["DIA"]
-    assert denominators_closed_under_coproducts(dd, coproduct_data(dd))[0]
-    assert denominators_closed_under_products(dd, product_data(dd))[0]
+    assert denominators_closed_under_coproducts(dd, poset_coproducts(dd))[0]
+    assert denominators_closed_under_products(dd, poset_products(dd))[0]
 
 
 def test_planted_coproduct_table_breaks_closure(named):
     dd = named["CH3"]
-    cp = coproduct_data(dd)
+    cp = poset_coproducts(dd)
     # reroute the (1, 1) coproduct to 2, making (0<=1)+(0<=1) = 0<=2
     cp.pairwise[("1", "1")] = ("2", "m_1_2", "m_1_2")
     cat = dd.base
@@ -104,13 +91,13 @@ def test_planted_coproduct_table_breaks_closure(named):
 def test_localisation_preserves_coproducts_and_products(name, named):
     dd = named[name]
     fc = build_fraction_category(dd)
-    assert check_localisation_preserves_coproducts(fc, coproduct_data(dd)) == []
-    assert check_localisation_preserves_products(fc, product_data(dd)) == []
+    assert check_localisation_preserves_coproducts(fc, poset_coproducts(dd)) == []
+    assert check_localisation_preserves_products(fc, poset_products(dd)) == []
 
 
 def test_preservation_requires_closure(named):
     dd = named["CH3"]
-    cp = coproduct_data(dd)
+    cp = poset_coproducts(dd)
     cp.pairwise[("1", "1")] = ("2", "m_1_2", "m_1_2")
     fc = build_fraction_category(dd)
     with pytest.raises(DomainError):
@@ -126,26 +113,27 @@ def test_saturated_converse_direction(name, named):
     dd = named[name]
     fc = build_fraction_category(dd)
     assert is_saturated(fc)
-    preserved = check_localisation_preserves_coproducts(fc, coproduct_data(dd)) == []
-    closed = denominators_closed_under_coproducts(dd, coproduct_data(dd))[0]
+    preserved = check_localisation_preserves_coproducts(fc, poset_coproducts(dd)) == []
+    closed = denominators_closed_under_coproducts(dd, poset_coproducts(dd))[0]
     assert (not preserved) or closed
-
-
-def z2_shell():
-    dd = make_monoid(["z", "u"], [["z", "z"], ["z", "u"]], ["u"], name="Z2SHELL")
-    add = AdditionTables(
-        zero={("pt", "pt"): "z"},
-        plus={
-            ("z", "z"): "z", ("z", "u"): "u",
-            ("u", "z"): "u", ("u", "u"): "z",
-        },
-    )
-    return dd, add
 
 
 def test_addition_tables_validate():
     dd, add = z2_shell()
     assert validate_addition(dd.base, add) == []
+
+
+def test_missing_sums_are_reported_not_read():
+    dd, add = z2_shell()
+    partial = AdditionTables(zero=dict(add.zero), plus=dict(add.plus))
+    del partial.plus[("u", "u")]
+    assert validate_addition(dd.base, partial) == [
+        Violation("missing-sum", ("u", "u"))
+    ]
+    empty = AdditionTables(zero=dict(add.zero), plus={})
+    assert {v.code for v in validate_addition(dd.base, empty)} == {
+        "missing-sum", "zero-law"
+    }
 
 
 def test_addition_rejects_broken_tables():
@@ -187,7 +175,7 @@ def test_sum_formula_vacuous_on_empty_category():
 def test_planted_product_fails_in_the_fraction_category(named):
     dd = named["CH3"]
     fc = build_fraction_category(dd)
-    pd = product_data(dd)
+    pd = poset_products(dd)
     pd.pairwise[("2", "2")] = ("1", "m_1_2", "m_1_2")
     assert check_localisation_preserves_products(fc, pd) == [
         Violation("fraction-product", ("2", "2", "q11", "q11"))
@@ -197,11 +185,11 @@ def test_planted_product_fails_in_the_fraction_category(named):
 def test_planted_terminal_and_initial_reported(named):
     dd = named["CH3"]
     fc = build_fraction_category(dd)
-    pd = product_data(dd)
+    pd = poset_products(dd)
     assert check_localisation_preserves_products(
-        fc, ProductData("1", pd.pairwise)
+        fc, CoproductData("1", pd.pairwise)
     ) == [Violation("fraction-terminal", ("1", "2"))]
-    cp = coproduct_data(dd)
+    cp = poset_coproducts(dd)
     assert check_localisation_preserves_coproducts(
         fc, CoproductData("2", cp.pairwise)
     ) == [
@@ -212,7 +200,7 @@ def test_planted_terminal_and_initial_reported(named):
 
 def test_swapped_projections_are_a_domain_error(named):
     dd = named["CH3"]
-    pd = product_data(dd)
+    pd = poset_products(dd)
     obj, pr1, pr2 = pd.pairwise[("0", "1")]
     pd.pairwise[("0", "1")] = (obj, pr2, pr1)
     with pytest.raises(DomainError, match="wrong endpoints"):
@@ -232,10 +220,10 @@ def test_unreachable_universal_object_is_a_domain_error(name, side, obj, named):
     fc = build_fraction_category(dd)
     if side == "initial":
         check = check_localisation_preserves_coproducts
-        table = CoproductData(obj, coproduct_data(dd).pairwise)
+        table = CoproductData(obj, poset_coproducts(dd).pairwise)
     else:
         check = check_localisation_preserves_products
-        table = ProductData(obj, product_data(dd).pairwise)
+        table = CoproductData(obj, poset_products(dd).pairwise)
     with pytest.raises(DomainError, match="no base arrow"):
         check(fc, table)
 

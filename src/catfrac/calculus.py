@@ -246,8 +246,7 @@ def mixed_composite_equal(
 
     ``normal1`` spans source(t1) -> source(t2) and becomes the left
     column, ``normal2`` spans target(t1) -> target(t2) and becomes the
-    right column; both must be normal.  The verdict is cross-checked
-    against composing through the fraction category.
+    right column; both must be normal.
     """
     for t in (t1, t2, normal1, normal2):
         check_three_arrow(dd, t)
@@ -263,17 +262,7 @@ def mixed_composite_equal(
     if target_of(dd, normal2) != target_of(dd, t2):
         raise DomainError("right column does not end at target(t2)")
     bridge = find_bridge(dd, t1, t2, normal1, normal2)
-    found = bridge is not None
-
-    from .fraction import compose_fractions
-    from .three_arrows import fraction_equivalence
-
-    part = fraction_equivalence(dd)
-    via_compose = compose_fractions(
-        dd, part, t1, normal2, strict=True
-    ) == compose_fractions(dd, part, normal1, t2, strict=True)
-    assert found == via_compose, "grid verdict diverges from composition"
-    if not found:
+    if bridge is None:
         return False, None
     bridge.validate(dd)
     return True, bridge

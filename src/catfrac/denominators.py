@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import DomainError, FinCategory, FunctorTable, Violation
+from .core import DomainError, FinCategory, FunctorTable
 
 LADDER = ("none", "multiplicative", "semi-saturated", "weakly-saturated")
 
@@ -60,9 +60,8 @@ class DenominatorData:
         self.s_sorted = tuple(sorted(self.is_))
         self.t_sorted = tuple(sorted(self.it))
         self._certificate: AxiomCertificate | None = None
-        # fraction partitions by generator variant, filled by
-        # three_arrows.fraction_equivalence
-        self.partitions: dict = {}
+        # the fraction partition, built once by three_arrows.fraction_equivalence
+        self.partition = None
 
     def subset(self, which: str) -> frozenset[int]:
         return {"D": self.iden, "S": self.is_, "T": self.it}[which]

@@ -70,58 +70,28 @@ class Instance:
 
 
 def _as_instance(doc: dict, where: str) -> Instance:
-    """Check the shape of the category fields, build the category, then
-    check and build the optional unit, (co)product and addition tables;
-    each error names its JSON path."""
+    """Check the shape and ids of the category fields, build the category,
+    then check and build the optional unit, (co)product and addition
+    tables; each error names its JSON path."""
 
     def fail(path: str, msg: str):
         raise DomainError(f"{where}: {path}: {msg}")
 
-    def is_ids(value) -> bool:
-        return isinstance(value, list) and all(isinstance(x, str) for x in value)
-
     for key in ("name", "objects", "morphisms", "identities", "composition"):
         if key not in doc:
             raise DomainError(f"{where}: missing field {key!r}")
-    if not is_ids(doc["objects"]):
+    objects = doc["objects"]
+    if not isinstance(objects, list) or not all(isinstance(x, str) for x in objects):
         fail("objects", "expected a list of strings")
     for key in ("morphisms", "composition"):
         if not isinstance(doc[key], list):
             fail(key, "expected a list")
-    for n, m in enumerate(doc["morphisms"]):
-        if not isinstance(m, dict):
-            fail(f"morphisms[{n}]", "expected an object")
-        for field in ("id", "src", "tgt"):
-            if field not in m:
-                fail(f"morphisms[{n}]", f"missing field {field!r}")
-            if not isinstance(m[field], str):
-                fail(f"morphisms[{n}].{field}", "expected a string")
-    if not isinstance(doc["identities"], dict):
-        fail("identities", "expected an object")
-    for x in doc["objects"]:
-        if x not in doc["identities"]:
-            fail("identities", f"no identity for object {x!r}")
-    for n, entry in enumerate(doc["composition"]):
-        if not is_ids(entry) or len(entry) != 3:
-            fail(f"composition[{n}]", "expected 3 ids")
-    for key in ("denominators", "s_denominators", "t_denominators"):
-        if not is_ids(doc.get(key, [])):
-            fail(key, "expected a list of strings")
+    known: dict[str, set[str]] = {"object": set(), "morphism": set()}
 
-    cat = FinCategory(
-        doc["name"],
-        list(doc["objects"]),
-        [m["id"] for m in doc["morphisms"]],
-        {m["id"]: m["src"] for m in doc["morphisms"]},
-        {m["id"]: m["tgt"] for m in doc["morphisms"]},
-        dict(doc["identities"]),
-        {(f, g): h for f, g, h in doc["composition"]},
-    )
-    for key in ("denominators", "s_denominators", "t_denominators"):
-        for f in doc.get(key, []):
-            if f not in cat.mor_index:
-                raise DomainError(f"{where}: unknown morphism id {f!r} in {key}")
-    known = {"object": cat.obj_index, "morphism": cat.mor_index}
+    def declare(path: str, value: str, kind: str) -> None:
+        if value in known[kind]:
+            fail(path, f"duplicate {kind} id {value!r}")
+        known[kind].add(value)
 
     def ident(path: str, value, kind: str) -> None:
         if not isinstance(value, str):
@@ -134,6 +104,46 @@ def _as_instance(doc: dict, where: str) -> Instance:
             fail(path, f"expected {count} ids")
         for k, x in enumerate(value):
             ident(f"{path}[{k}]", x, kind)
+
+    for n, x in enumerate(objects):
+        declare(f"objects[{n}]", x, "object")
+    for n, m in enumerate(doc["morphisms"]):
+        path = f"morphisms[{n}]"
+        if not isinstance(m, dict):
+            fail(path, "expected an object")
+        for field in ("id", "src", "tgt"):
+            if field not in m:
+                fail(path, f"missing field {field!r}")
+        if not isinstance(m["id"], str):
+            fail(f"{path}.id", "expected a string")
+        declare(f"{path}.id", m["id"], "morphism")
+        ident(f"{path}.src", m["src"], "object")
+        ident(f"{path}.tgt", m["tgt"], "object")
+    if not isinstance(doc["identities"], dict):
+        fail("identities", "expected an object")
+    for x, e in doc["identities"].items():
+        ident(f"identities[{x!r}]", x, "object")
+        ident(f"identities[{x!r}]", e, "morphism")
+    for x in objects:
+        if x not in doc["identities"]:
+            fail("identities", f"no identity for object {x!r}")
+    for n, entry in enumerate(doc["composition"]):
+        idents(f"composition[{n}]", entry, 3, "morphism")
+    for key in ("denominators", "s_denominators", "t_denominators"):
+        if not isinstance(doc.get(key, []), list):
+            fail(key, "expected a list")
+        for k, f in enumerate(doc.get(key, [])):
+            ident(f"{key}[{k}]", f, "morphism")
+
+    cat = FinCategory(
+        doc["name"],
+        list(doc["objects"]),
+        [m["id"] for m in doc["morphisms"]],
+        {m["id"]: m["src"] for m in doc["morphisms"]},
+        {m["id"]: m["tgt"] for m in doc["morphisms"]},
+        dict(doc["identities"]),
+        {(f, g): h for f, g, h in doc["composition"]},
+    )
 
     def records(key: str, fields):
         if not isinstance(doc[key], list):

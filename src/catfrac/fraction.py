@@ -18,12 +18,10 @@ from .core import (
     FinCategory,
     FunctorTable,
     find_inverse,
-    validate_category,
     validate_functor,
 )
 from .denominators import (
     DenominatorData,
-    completions,
     factorisations,
     is_multiplicative,
     is_two_of_six,
@@ -34,11 +32,8 @@ from .three_arrows import (
     FractionPartition,
     ThreeArrow,
     check_three_arrow,
-    common_denominator,
     fraction_equivalence,
     identity_arrow,
-    is_normal,
-    normalise,
     source_of,
     target_of,
 )
@@ -59,25 +54,6 @@ def strict_composite(
         cat.icomp[(f1p, f2p)],
         cat.icomp[(t2.a, j1)],
     )
-
-
-def strict_composites_all(dd: DenominatorData, t1: ThreeArrow, t2: ThreeArrow):
-    """Every strict-mode composite over all valid witness choices.
-
-    Sweeps all (j, q) factorisations of b2 a1 and all weakly universal
-    completions on both sides; used by the choice-independence check.
-    """
-    cat = dd.base
-    b2a1 = cat.icomp[(t2.b, t1.a)]
-    op = dd.opposite()
-    for j, q in factorisations(cat, b2a1, dd.s_sorted, dd.t_sorted):
-        for f1p, q1 in completions(op, q, t1.f):
-            for f2p, j1 in completions(dd, j, t2.f):
-                yield ThreeArrow(
-                    cat.icomp[(q1, t1.b)],
-                    cat.icomp[(f1p, f2p)],
-                    cat.icomp[(t2.a, j1)],
-                )
 
 
 def lax_composite(

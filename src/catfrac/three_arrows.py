@@ -82,58 +82,29 @@ def enumerate_three_arrows(dd: DenominatorData) -> list[ThreeArrow]:
 
 
 def fraction_generators(
-    dd: DenominatorData, variant: str = "two-sided"
+    dd: DenominatorData, arrows: list[ThreeArrow]
 ) -> list[tuple[ThreeArrow, ThreeArrow]]:
-    """Generating pairs for fraction equality.
+    """Generating pairs for fraction equality, swept over ``arrows``.
 
-    "two-sided" emits the right-leg moves (b, f, a) ~ (b, fc, ac) for all
-    c with ac in D and the left-leg moves (b, f, a) ~ (cb, cf, a) for all
-    c with cb in D.  "one-step" emits the single combined family: t is
-    related to t2 when morphisms c, c2 exist with b == comp(c2, b2),
-    comp(f, c) == comp(c2, f2) and comp(a, c) == a2.  Both families
-    generate the same closure; the one-step family is kept for the
-    cross-check only.
+    Emits the right-leg moves (b, f, a) ~ (b, fc, ac) for all c with ac
+    in D and the left-leg moves (b, f, a) ~ (cb, cf, a) for all c with cb
+    in D.
     """
     cat = dd.base
-    arrows = enumerate_three_arrows(dd)
-    if variant == "two-sided":
-        pairs = []
-        for t in arrows:
-            for c in cat.by_src[cat.itgt[t.f]]:
-                ac = cat.icomp[(t.a, c)]
-                if ac in dd.iden:
-                    # semi-saturatedness makes c itself a denominator
-                    assert c in dd.iden, "2-of-3 failed during generator sweep"
-                    pairs.append(
-                        (t, ThreeArrow(t.b, cat.icomp[(t.f, c)], ac))
-                    )
-            for c in cat.by_tgt[cat.isrc[t.f]]:
-                cb = cat.icomp[(c, t.b)]
-                if cb in dd.iden:
-                    assert c in dd.iden, "2-of-3 failed during generator sweep"
-                    pairs.append(
-                        (t, ThreeArrow(cb, cat.icomp[(c, t.f)], t.a))
-                    )
-        return pairs
-    if variant == "one-step":
-        # pairs (t, t2) with c, c2 solving b = c2 b2, f c = c2 f2, a c = a2
-        pairs = []
-        left_sol = cat.solution_maps()[0]
-        for t2 in arrows:
-            for c2 in cat.by_tgt[cat.isrc[t2.b]]:
-                b = cat.icomp[(c2, t2.b)]
-                if b not in dd.iden:
-                    continue
-                w = cat.icomp[(c2, t2.f)]
-                for c in cat.by_tgt[cat.itgt[t2.f]]:
-                    for f in left_sol.get((c, w), []):
-                        if cat.isrc[f] != cat.isrc[c2]:
-                            continue
-                        for a in left_sol.get((c, t2.a), []):
-                            if a in dd.iden:
-                                pairs.append((ThreeArrow(b, f, a), t2))
-        return pairs
-    raise DomainError(f"unknown generator variant {variant!r}")
+    pairs = []
+    for t in arrows:
+        for c in cat.by_src[cat.itgt[t.f]]:
+            ac = cat.icomp[(t.a, c)]
+            if ac in dd.iden:
+                # semi-saturatedness makes c itself a denominator
+                assert c in dd.iden, "2-of-3 failed during generator sweep"
+                pairs.append((t, ThreeArrow(t.b, cat.icomp[(t.f, c)], ac)))
+        for c in cat.by_tgt[cat.isrc[t.f]]:
+            cb = cat.icomp[(c, t.b)]
+            if cb in dd.iden:
+                assert c in dd.iden, "2-of-3 failed during generator sweep"
+                pairs.append((t, ThreeArrow(cb, cat.icomp[(c, t.f)], t.a)))
+    return pairs
 
 
 class FractionPartition:
@@ -143,12 +114,12 @@ class FractionPartition:
     order, which keeps references stable across runs.
     """
 
-    def __init__(self, dd: DenominatorData, variant: str = "two-sided"):
+    def __init__(self, dd: DenominatorData):
         self.dd = dd
         self.arrows = enumerate_three_arrows(dd)
         self.arrow_index = {t: i for i, t in enumerate(self.arrows)}
         ds = DisjointSet(len(self.arrows))
-        for t1, t2 in fraction_generators(dd, variant):
+        for t1, t2 in fraction_generators(dd, self.arrows):
             ds.union(self.arrow_index[t1], self.arrow_index[t2])
         self.groups = ds.groups()
         self.class_of_arrow = {}
@@ -187,13 +158,12 @@ class FractionPartition:
         return len(self.groups)
 
 
-def fraction_equivalence(dd: DenominatorData, variant: str = "two-sided"):
-    """The partition of the three-arrows of ``dd``, built once per variant
-    and kept on ``dd``, so it lives exactly as long as the structure."""
-    part = dd.partitions.get(variant)
-    if part is None:
-        part = dd.partitions[variant] = FractionPartition(dd, variant)
-    return part
+def fraction_equivalence(dd: DenominatorData) -> FractionPartition:
+    """The partition of the three-arrows of ``dd``, built once and kept on
+    ``dd``, so it lives exactly as long as the structure."""
+    if dd.partition is None:
+        dd.partition = FractionPartition(dd)
+    return dd.partition
 
 
 def is_denominator_class(

@@ -2,9 +2,10 @@ from collections import defaultdict, deque
 
 import pytest
 
+from catfrac.denominators import completions, factorisations
 from catfrac.fileio import AdditionTables
 from catfrac.instances import make_monoid, make_named
-from catfrac.three_arrows import enumerate_three_arrows, fraction_generators
+from catfrac.three_arrows import ThreeArrow, enumerate_three_arrows, fraction_generators
 
 POSITIVE = ("WALK", "CH3", "DIA", "DIA-B", "PAR", "Z4")
 
@@ -36,13 +37,38 @@ def named():
     return {name: make_named(name) for name in POSITIVE + ("IDEM",)}
 
 
-def bfs_partition(dd):
-    """Independent closure oracle: connected components of the generator
-    graph, computed by plain breadth-first search (no union-find)."""
+def one_step_generators(dd, arrows):
+    """Reference generator family: t is related to t2 when morphisms c, c2
+    exist with b == comp(c2, b2), comp(f, c) == comp(c2, f2) and
+    comp(a, c) == a2.  It generates the same closure as the library's
+    two-sided leg moves."""
+    cat = dd.base
+    left_sol = cat.solution_maps()[0]
+    pairs = []
+    for t2 in arrows:
+        for c2 in cat.by_tgt[cat.isrc[t2.b]]:
+            b = cat.icomp[(c2, t2.b)]
+            if b not in dd.iden:
+                continue
+            w = cat.icomp[(c2, t2.f)]
+            for c in cat.by_tgt[cat.itgt[t2.f]]:
+                for f in left_sol.get((c, w), []):
+                    if cat.isrc[f] != cat.isrc[c2]:
+                        continue
+                    for a in left_sol.get((c, t2.a), []):
+                        if a in dd.iden:
+                            pairs.append((ThreeArrow(b, f, a), t2))
+    return pairs
+
+
+def bfs_partition(dd, generators=fraction_generators):
+    """Independent closure oracle: connected components of the graph of
+    ``generators(dd, arrows)``, computed by plain breadth-first search (no
+    union-find)."""
     arrows = enumerate_three_arrows(dd)
     index = {t: i for i, t in enumerate(arrows)}
     adjacency = defaultdict(set)
-    for t1, t2 in fraction_generators(dd, "two-sided"):
+    for t1, t2 in generators(dd, arrows):
         adjacency[index[t1]].add(index[t2])
         adjacency[index[t2]].add(index[t1])
     seen, components = set(), []
@@ -60,3 +86,20 @@ def bfs_partition(dd):
                     queue.append(j)
         components.append(sorted(component))
     return sorted(components)
+
+
+def strict_composites_all(dd, t1, t2):
+    """Every strict-mode composite of t1, t2 over all valid witness choices:
+    all (j, q) S,T-factorisations of b2 a1 and all weakly universal
+    completions on both sides (the library caches only the first)."""
+    cat = dd.base
+    b2a1 = cat.icomp[(t2.b, t1.a)]
+    op = dd.opposite()
+    for j, q in factorisations(cat, b2a1, dd.s_sorted, dd.t_sorted):
+        for f1p, q1 in completions(op, q, t1.f):
+            for f2p, j1 in completions(dd, j, t2.f):
+                yield ThreeArrow(
+                    cat.icomp[(q1, t1.b)],
+                    cat.icomp[(f1p, f2p)],
+                    cat.icomp[(t2.a, j1)],
+                )

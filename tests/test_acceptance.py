@@ -5,10 +5,7 @@ see them live) and then asserts.  Tolerances are exact equalities and the
 stated wall-clock budgets; nothing is deferred to later calibration.
 """
 
-import json
 import time
-
-import pytest
 
 from catfrac import fileio
 from catfrac.cli import run
@@ -21,7 +18,6 @@ from catfrac.fraction import (
     inverse_of_denominator,
     is_saturated,
     lax_composites_all,
-    strict_composites_all,
     subcategory_equivalence,
 )
 from catfrac.calculus import equal_by_3x3
@@ -32,10 +28,8 @@ from catfrac.instances import (
     poset_products,
 )
 from catfrac.three_arrows import (
-    ThreeArrow,
     common_denominator,
     fraction_equivalence,
-    identity_arrow,
     is_normal,
     normalise,
     source_of,
@@ -50,7 +44,7 @@ from catfrac.transport import (
     validate_products,
 )
 
-from conftest import POSITIVE, bfs_partition
+from conftest import POSITIVE, bfs_partition, strict_composites_all
 
 
 def report(number, ok, detail=""):

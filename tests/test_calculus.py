@@ -4,21 +4,19 @@ import weakref
 import pytest
 
 from catfrac.calculus import (
-    FactorisationSquare,
     equal_by_3x3,
     factorisation_square,
-    find_bridge,
     flip,
     mixed_composite_equal,
 )
 from catfrac.core import DomainError
+from catfrac.fraction import compose_fractions
 from catfrac.instances import make_named
 from catfrac.three_arrows import (
     ThreeArrow,
     fraction_equivalence,
     identity_arrow,
     is_normal,
-    normalise,
     source_of,
     target_of,
 )
@@ -250,6 +248,50 @@ def test_mixed_requires_normal_columns(named):
     assert not is_normal(diab, bad)
     with pytest.raises(DomainError):
         mixed_composite_equal(diab, bad, good, bad, good)
+
+
+def mixed_quadruples(dd, arrows, columns):
+    """Every (t1, normal2, normal1, t2) with matching endpoints, the two
+    columns drawn from ``columns``."""
+    for t1 in arrows:
+        for normal2 in columns:
+            if source_of(dd, normal2) != target_of(dd, t1):
+                continue
+            for normal1 in columns:
+                if source_of(dd, normal1) != source_of(dd, t1):
+                    continue
+                for t2 in arrows:
+                    if (source_of(dd, t2), target_of(dd, t2)) == (
+                        target_of(dd, normal1), target_of(dd, normal2)
+                    ):
+                        yield t1, normal2, normal1, t2
+
+
+@pytest.mark.parametrize(
+    "name, quadruples, positive",
+    (("WALK", 258, 258), ("CH3", 365, 365), ("PAR", 18, 10),
+     ("DIA-B", 10404, 10404), ("Z4", 256, 64)),
+)
+def test_mixed_verdict_matches_composition_exhaustive(name, quadruples, positive, named):
+    # the grid verdict equals composing both sides through the partition, on
+    # every quadruple; Z4 takes the identity as its only column, which leaves
+    # 192 negative verdicts
+    dd = named[name]
+    part = fraction_equivalence(dd)
+    if name == "Z4":
+        columns = [identity_arrow(dd, 0)]
+    else:
+        columns = [t for t in part.arrows if is_normal(dd, t)]
+    verdicts = []
+    for t1, normal2, normal1, t2 in mixed_quadruples(dd, part.arrows, columns):
+        verdict, _ = mixed_composite_equal(dd, t1, normal2, normal1, t2)
+        via_compose = compose_fractions(dd, part, t1, normal2) == compose_fractions(
+            dd, part, normal1, t2
+        )
+        assert verdict == via_compose, (t1.ids(dd), normal2.ids(dd), normal1.ids(dd),
+                                        t2.ids(dd))
+        verdicts.append(verdict)
+    assert (len(verdicts), sum(verdicts)) == (quadruples, positive)
 
 
 # ------------------------------------------------------ factorisation square

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from catfrac import fileio
 from catfrac.cli import run
-from catfrac.instances import as_instance, make_named
+from catfrac.instances import as_instance, chain, make_named
 
 from conftest import POSITIVE, poset_addition
 
@@ -195,6 +195,31 @@ def test_invalid_base_reports_base_failure(ch3_file, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_failed_axiom_keeps_the_transport_report(tmp_path, capsys):
+    # with S = T = identities on chain(3), (Fac) fails; the tables are still
+    # validated and the transport checks are skipped, not an error line
+    identities = ["i_0", "i_1", "i_2"]
+    dd = chain(3, "all", s_denominators=identities, t_denominators=identities)
+    path = tmp_path / "chain3"
+    fileio.dump(
+        replace(as_instance(dd, with_structure=True), addition=poset_addition(dd)),
+        str(path),
+    )
+    assert run(["check", str(path), "--suite", "all"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[7:] == [
+        "(WU) PASS",
+        "(Fac) FAIL witness m_0_1",
+        "theorem SKIP (structure axioms fail)",
+        "coproducts-valid PASS",
+        "coproducts-preserved SKIP (structure axioms fail)",
+        "products-valid PASS",
+        "products-preserved SKIP (structure axioms fail)",
+        "sum-formula SKIP (structure axioms fail)",
+    ]
+
+
 def test_check_axioms_failure_exit(tmp_path):
     idem = tmp_path / "idem"
     run(["instance", "IDEM", "-o", str(idem)])
@@ -304,6 +329,34 @@ ZERO_BLOCK = {
             ),
             "addition[0].table[1]: repeated summands ('i_0', 'i_0')",
         ),
+        (
+            lambda doc: doc["morphisms"][0].update(src="ghost"),
+            "morphisms[0].src: unknown object id 'ghost'",
+        ),
+        (
+            lambda doc: doc["morphisms"][2].update(tgt="ghost"),
+            "morphisms[2].tgt: unknown object id 'ghost'",
+        ),
+        (
+            lambda doc: doc["identities"].update({"1": "nope"}),
+            "identities['1']: unknown morphism id 'nope'",
+        ),
+        (
+            lambda doc: doc["identities"].update({"1": ["i_1"]}),
+            "identities['1']: expected a string",
+        ),
+        (
+            lambda doc: doc["identities"].update(ghost="i_0"),
+            "identities['ghost']: unknown object id 'ghost'",
+        ),
+        (
+            lambda doc: doc["composition"][0].__setitem__(2, "nope"),
+            "composition[0][2]: unknown morphism id 'nope'",
+        ),
+        (
+            lambda doc: doc["morphisms"].append(dict(doc["morphisms"][3])),
+            "morphisms[6].id: duplicate morphism id 'i_0'",
+        ),
     ),
     ids=(
         "missing-src", "short-triple", "objects-string", "missing-identity",
@@ -312,6 +365,9 @@ ZERO_BLOCK = {
         "initial-without-coproducts", "coproducts-without-initial",
         "terminal-without-products", "products-without-terminal",
         "repeated-pair", "repeated-block", "row-outside-block", "repeated-row",
+        "unknown-src", "unknown-tgt", "unknown-identity", "identity-not-a-string",
+        "identity-of-unknown-object", "unknown-composite",
+        "repeated-morphism",
     ),
 )
 def test_malformed_file_is_one_error_line(mutate, message, ch3_file, capsys):

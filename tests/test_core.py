@@ -9,7 +9,7 @@ from catfrac.core import (
     validate_category,
     validate_functor,
 )
-from catfrac.instances import NAMED, chain, make_named, make_poset
+from catfrac.instances import NAMED, make_named, make_poset
 
 
 def hand_built_ch3():

@@ -20,7 +20,7 @@ from catfrac.denominators import (
     validate_uf_morphism,
 )
 from catfrac.fraction import full_subcategory
-from catfrac.instances import chain, make_monoid, make_named, make_poset
+from catfrac.instances import chain, make_monoid, make_named
 
 from conftest import POSITIVE
 

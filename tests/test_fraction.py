@@ -24,19 +24,17 @@ from catfrac.fraction import (
     is_saturated,
     lax_composites_all,
     st_independence_check,
-    strict_composites_all,
     subcategory_equivalence,
 )
 from catfrac.instances import chain, make_monoid, make_named, make_poset
 from catfrac.three_arrows import (
     ThreeArrow,
-    fraction_equivalence,
     identity_arrow,
     source_of,
     target_of,
 )
 
-from conftest import POSITIVE
+from conftest import POSITIVE, strict_composites_all
 
 
 def arrow(dd, b, f, a):

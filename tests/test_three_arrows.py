@@ -1,8 +1,10 @@
 import pytest
 
 from catfrac.core import DomainError
-from catfrac.instances import make_monoid, make_named, make_poset
+from catfrac import three_arrows
+from catfrac.instances import make_poset
 from catfrac.three_arrows import (
+    FractionPartition,
     ThreeArrow,
     common_denominator,
     enumerate_three_arrows,
@@ -16,7 +18,7 @@ from catfrac.three_arrows import (
     target_of,
 )
 
-from conftest import POSITIVE, bfs_partition
+from conftest import POSITIVE, bfs_partition, one_step_generators
 
 
 def arrow(dd, b, f, a):
@@ -46,7 +48,7 @@ def test_enumeration_is_sorted_and_well_formed(named):
 
 def test_generator_examples(named):
     walk = named["WALK"]
-    pairs = fraction_generators(walk, "two-sided")
+    pairs = fraction_generators(walk, enumerate_three_arrows(walk))
     base = arrow(walk, "i_0", "i_0", "i_0")
     assert (base, arrow(walk, "i_0", "m_0_1", "m_0_1")) in pairs
     assert (base, base) in pairs  # identity action relates to itself
@@ -54,13 +56,13 @@ def test_generator_examples(named):
     assert (
         arrow(ch3, "i_1", "m_1_2", "i_2"),
         arrow(ch3, "m_0_1", "m_0_2", "i_2"),
-    ) in fraction_generators(ch3, "two-sided")
+    ) in fraction_generators(ch3, enumerate_three_arrows(ch3))
 
 
 @pytest.mark.parametrize("name", POSITIVE)
 def test_generators_relate_parallel_arrows(name, named):
     dd = named[name]
-    for t1, t2 in fraction_generators(dd, "two-sided"):
+    for t1, t2 in fraction_generators(dd, enumerate_three_arrows(dd)):
         assert source_of(dd, t1) == source_of(dd, t2)
         assert target_of(dd, t1) == target_of(dd, t2)
 
@@ -68,9 +70,19 @@ def test_generators_relate_parallel_arrows(name, named):
 @pytest.mark.parametrize("name", POSITIVE)
 def test_two_sided_matches_one_step_closure(name, named):
     dd = named[name]
-    two = fraction_equivalence(dd, "two-sided")
-    one = fraction_equivalence(dd, "one-step")
-    assert two.groups == one.groups
+    assert fraction_equivalence(dd).groups == bfs_partition(dd, one_step_generators)
+
+
+def test_partition_enumerates_once(named, monkeypatch):
+    calls = []
+
+    def counted(dd):
+        calls.append(dd)
+        return enumerate_three_arrows(dd)
+
+    monkeypatch.setattr(three_arrows, "enumerate_three_arrows", counted)
+    FractionPartition(named["DIA"])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", POSITIVE)

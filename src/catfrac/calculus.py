@@ -29,6 +29,25 @@ The nine commuting squares:
     E5 comp(gm1, fm2) == comp(fm1, gm2)  E6 comp(am1, gm2) == comp(gR, am2)
     E7 comp(b2, iL) == comp(im1, bm2)    E8 comp(im1, fm2) == comp(f2, im2)
     E9 comp(iR, am2) == comp(a2, im2)
+
+With identity outer columns, as in the equality criterion, each band of
+the grid is a *three-arrow morphism* m -> t with column (c1, c2):
+
+    m.b == c1;t.b    c1;t.f == m.f;c2    m.a;c2 == t.a
+
+The top band is row2 -> row1 with column (pm1, pm2) in T x T (E1-E3),
+the middle band row2 -> row3 with (gm1, gm2) in D x D (E4-E6) and the
+bottom band row4 -> row3 with (im1, im2) in S x S (E7-E9).  With
+
+    Top[t1] = {m1 : m1 ->_T t1}
+    Mid[m1] = {m2 : m1 ->_D m2}
+    Bot[t2] = {m2 : t2 ->_S m2}
+
+over the three-arrows of the (source, target) block, a grid exists
+exactly when some m1 in Top[t1] has Mid[m1] meeting Bot[t2]: an acyclic
+chain of three relations, decided by semi-joins of bitset rows instead
+of the 12-deep search.  ``equal_by_3x3`` decides that way and runs
+``find_bridge`` only to spell out the witness of a positive verdict.
 """
 
 from __future__ import annotations
@@ -39,6 +58,7 @@ from .core import DomainError, FinCategory
 from .denominators import DenominatorData, factorisations
 from .three_arrows import (
     ThreeArrow,
+    check_normal,
     check_three_arrow,
     identity_arrow,
     is_normal,
@@ -120,38 +140,30 @@ def find_bridge(
     w1 = cat.icomp[(t2.b, iL)]
     w3 = cat.icomp[(pR, t1.a)]
 
-    # every solution-map hit already has the right endpoints; only the
-    # membership filters remain per loop
-    for pm1 in dd.t_sorted:
-        if cat.itgt[pm1] != A1:
-            continue
+    # the endpoint scans read the S/T buckets and every solution-map hit
+    # already has the right endpoints; only membership filters remain
+    for pm1 in dd.t_by_tgt[A1]:
         lhs1 = cat.icomp[(pm1, t1.b)]
         w2 = cat.icomp[(pm1, t1.f)]
         for bm1 in left_sol.get((pL, lhs1), ()):
             if bm1 not in den or (rows_normal and bm1 not in t_set):
                 continue
             w4 = cat.icomp[(bm1, gL)]
-            for im1 in dd.s_sorted:
-                if cat.isrc[im1] != B1:
-                    continue
+            for im1 in dd.s_by_src[B1]:
                 for bm2 in right_sol.get((im1, w1), ()):
                     if bm2 not in den or (rows_normal and bm2 not in t_set):
                         continue
                     for gm1 in left_sol.get((bm2, w4), ()):
                         if middles_in_D and gm1 not in den:
                             continue
-                        for pm2 in dd.t_sorted:
-                            if cat.itgt[pm2] != A2:
-                                continue
+                        for pm2 in dd.t_by_tgt[A2]:
                             for am1 in left_sol.get((pm2, w3), ()):
                                 if am1 not in den or (
                                     rows_normal and am1 not in s_set
                                 ):
                                     continue
                                 for fm1 in left_sol.get((pm2, w2), ()):
-                                    for im2 in dd.s_sorted:
-                                        if cat.isrc[im2] != B2:
-                                            continue
+                                    for im2 in dd.s_by_src[B2]:
                                         w9 = cat.icomp[(t2.a, im2)]
                                         w8 = cat.icomp[(t2.f, im2)]
                                         for am2 in right_sol.get((iR, w9), ()):
@@ -208,28 +220,155 @@ class ThreeByThreeWitness:
         return self.bridge.ids(dd)
 
 
+def _into_row(cat: FinCategory, den, index: dict, into, t: tuple) -> int:
+    """Bitset of the block members m with a three-arrow morphism m -> t
+    whose column (c1, c2) is drawn from a pool C of morphisms:
+
+        m.b == c1;t.b    c1;t.f == m.f;c2    m.a;c2 == t.a
+
+    ``into[x]`` lists the members of C with target x in index order, and
+    ``index`` numbers the block's three-arrows as (b, f, a) tuples of
+    ``cat``.  Over the opposite category, with each tuple reversed and C
+    bucketed by source, the same sweep gives the out-row {m : t -> m}.
+    """
+    b, f, a = t
+    comp = cat.icomp
+    left_sol = cat.solution_maps()[0]
+    heads = [
+        (comp[(c1, b)], comp[(c1, f)])
+        for c1 in into[cat.isrc[b]]
+        if comp[(c1, b)] in den
+    ]
+    row = 0
+    for c2 in into[cat.itgt[f]]:
+        tails = [ma for ma in left_sol.get((c2, a), ()) if ma in den]
+        if not tails:
+            continue
+        for mb, w in heads:
+            for mf in left_sol.get((c2, w), ()):
+                for ma in tails:
+                    row |= 1 << index[(mb, mf, ma)]
+    return row
+
+
+class _Rows(list):
+    """One relation's rows by block position, each built on first use."""
+
+    def __init__(self, size: int, build):
+        super().__init__([None] * size)
+        self._build = build
+
+    def row(self, k: int) -> int:
+        row = self[k]
+        if row is None:
+            row = self[k] = self._build(k)
+        return row
+
+
+class GridRelations:
+    """Top, Mid and Bot (module docstring) over one (source, target) block.
+
+    The block is enumerated from composition and membership in D alone,
+    in index order, and never from the fraction partition; ``index`` maps
+    each (b, f, a) tuple to its position.  Each row is an ``int`` bitset
+    over the positions, built on first use and kept.
+    """
+
+    def __init__(self, dd: DenominatorData, source: int, target: int):
+        cat, den = dd.base, dd.iden
+        arrows = [
+            (b, f, a)
+            for b in cat.by_tgt[source]
+            if b in den
+            for f in cat.by_src[cat.isrc[b]]
+            for a in cat.hom(target, cat.itgt[f])
+            if a in den
+        ]
+        self.index = index = {t: k for k, t in enumerate(arrows)}
+        op, op_index = cat.opposite(), {t[::-1]: k for t, k in index.items()}
+        self.normal = 0
+        for k, (b, _, a) in enumerate(arrows):
+            if b in dd.it and a in dd.is_:
+                self.normal |= 1 << k
+        t_by_tgt, d_by_src, s_by_src = dd.t_by_tgt, dd.d_by_src, dd.s_by_src
+        # Top[t1] = {m1 : m1 ->_T t1}; the out-rows Mid[m1] = {m2 : m1 ->_D m2}
+        # and Bot[t2] = {m2 : t2 ->_S m2} are in-rows of the opposite
+        n = len(arrows)
+        self.top = _Rows(n, lambda k: _into_row(cat, den, index, t_by_tgt, arrows[k]))
+        self.mid = _Rows(
+            n, lambda k: _into_row(op, den, op_index, d_by_src, arrows[k][::-1])
+        )
+        self.bot = _Rows(
+            n, lambda k: _into_row(op, den, op_index, s_by_src, arrows[k][::-1])
+        )
+        # the union of Mid over Top[t1], by normal_middles, then by t1
+        self._reach = ([None] * n, [None] * n)
+
+    def grid_exists(self, t1: tuple, t2: tuple, normal_middles: bool) -> bool:
+        """Whether some m1 in Top[t1] has Mid[m1] meeting Bot[t2]; with
+        ``normal_middles`` both m1 and m2 must be normal.
+
+        The union of Mid[m1] over Top[t1] (the semi-join of Top and Mid)
+        is kept per t1 once a sweep completes, so every later verdict on
+        t1 is one intersection; a sweep stops at its first meeting.
+        """
+        k1 = self.index[t1]
+        bot = self.bot.row(self.index[t2])
+        reached = self._reach[normal_middles]
+        reach = reached[k1]
+        if reach is None:
+            mask = self.normal if normal_middles else -1
+            rest, reach = self.top.row(k1) & mask, 0
+            while rest:
+                low = rest & -rest
+                reach |= self.mid.row(low.bit_length() - 1) & mask
+                if reach & bot:
+                    return True
+                rest ^= low
+            reached[k1] = reach
+        return bool(reach & bot)
+
+
+def grid_relations(dd: DenominatorData, source: int, target: int) -> GridRelations:
+    """The relations of the (source, target) block of ``dd``, built once
+    and kept on ``dd``, so they live exactly as long as the structure."""
+    rel = dd.grid_relations.get((source, target))
+    if rel is None:
+        rel = dd.grid_relations[(source, target)] = GridRelations(dd, source, target)
+    return rel
+
+
 def equal_by_3x3(
     dd: DenominatorData, t1: ThreeArrow, t2: ThreeArrow,
     normal_middles: bool = False,
 ) -> tuple[bool, ThreeByThreeWitness | None]:
-    """Decide [t1] == [t2] by grid search over candidate middle rows.
+    """Decide [t1] == [t2] by the 3x3 grid criterion.
 
     Inputs must be parallel.  ``normal_middles`` additionally demands the
-    two searched rows be normal (available for equal normal inputs).
+    two middle rows be normal (available for equal normal inputs).  The
+    verdict comes from the block's grid relations; a positive one is
+    spelled out by ``find_bridge``, whose first witness in index order is
+    returned.
     """
     check_three_arrow(dd, t1)
     check_three_arrow(dd, t2)
-    if source_of(dd, t1) != source_of(dd, t2) or target_of(dd, t1) != target_of(
-        dd, t2
-    ):
+    source, target = source_of(dd, t1), target_of(dd, t1)
+    if (source, target) != (source_of(dd, t2), target_of(dd, t2)):
         raise DomainError("inputs are not parallel")
-    left = identity_arrow(dd, source_of(dd, t1))
-    right = identity_arrow(dd, target_of(dd, t1))
+    rel = grid_relations(dd, source, target)
+    if not rel.grid_exists(
+        (t1.b, t1.f, t1.a), (t2.b, t2.f, t2.a), normal_middles
+    ):
+        return False, None
     bridge = find_bridge(
-        dd, t1, t2, left, right, middles_in_D=True, rows_normal=normal_middles
+        dd, t1, t2, identity_arrow(dd, source), identity_arrow(dd, target),
+        middles_in_D=True, rows_normal=normal_middles,
     )
     if bridge is None:
-        return False, None
+        raise AssertionError(
+            f"grid relations admit a grid for {t1.ids(dd)} and {t2.ids(dd)} "
+            "that the witness search does not find"
+        )
     wit = ThreeByThreeWitness(bridge)
     wit.validate(dd)
     return True, wit
@@ -251,8 +390,7 @@ def mixed_composite_equal(
     for t in (t1, t2, normal1, normal2):
         check_three_arrow(dd, t)
     for t in (normal1, normal2):
-        if not is_normal(dd, t):
-            raise DomainError(f"{t.ids(dd)} is not normal")
+        check_normal(dd, t)
     if source_of(dd, normal1) != source_of(dd, t1):
         raise DomainError("left column does not start at source(t1)")
     if target_of(dd, normal1) != source_of(dd, t2):

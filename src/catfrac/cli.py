@@ -22,8 +22,8 @@ from .fraction import (
 from .instances import NAMED, as_instance, from_instance, make_named
 from .three_arrows import (
     ThreeArrow,
+    check_normal,
     fraction_equivalence,
-    is_normal,
     normalise,
     parse_three_arrow,
     source_of,
@@ -114,7 +114,7 @@ def cmd_normalise(args) -> int:
     require_uni_fractionable(dd)
     t = parse_three_arrow(dd, args.arrow)
     result = normalise(dd, t)
-    assert is_normal(dd, result)
+    check_normal(dd, result)
     print(result.ids(dd))
     return 0
 

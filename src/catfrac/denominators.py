@@ -59,9 +59,20 @@ class DenominatorData:
         self.den_sorted = tuple(sorted(self.iden))
         self.s_sorted = tuple(sorted(self.is_))
         self.t_sorted = tuple(sorted(self.it))
+        # T-members by target, S- and D-members by source, in index order
+        self.t_by_tgt = self._buckets(base.by_tgt, self.it)
+        self.s_by_src = self._buckets(base.by_src, self.is_)
+        self.d_by_src = self._buckets(base.by_src, self.iden)
         self._certificate: AxiomCertificate | None = None
         # the fraction partition, built once by three_arrows.fraction_equivalence
         self.partition = None
+        # grid relations per (source, target) block, built by
+        # calculus.grid_relations on first use
+        self.grid_relations: dict = {}
+
+    @staticmethod
+    def _buckets(by_end, members) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(g for g in gs if g in members) for gs in by_end)
 
     def subset(self, which: str) -> frozenset[int]:
         return {"D": self.iden, "S": self.is_, "T": self.it}[which]

@@ -203,6 +203,11 @@ def is_normal(dd: DenominatorData, t: ThreeArrow) -> bool:
     return t.b in dd.it and t.a in dd.is_
 
 
+def check_normal(dd: DenominatorData, t: ThreeArrow) -> None:
+    if not is_normal(dd, t):
+        raise DomainError(f"{t.ids(dd)} is not normal")
+
+
 def common_denominator(
     dd: DenominatorData, t1: ThreeArrow, t2: ThreeArrow, mode: str
 ) -> tuple[ThreeArrow, ThreeArrow]:

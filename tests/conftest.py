@@ -1,4 +1,5 @@
 from collections import defaultdict, deque
+from math import gcd
 
 import pytest
 
@@ -8,6 +9,14 @@ from catfrac.instances import make_monoid, make_named
 from catfrac.three_arrows import ThreeArrow, enumerate_three_arrows, fraction_generators
 
 POSITIVE = ("WALK", "CH3", "DIA", "DIA-B", "PAR", "Z4")
+
+
+def zmod(n):
+    """The multiplicative monoid of Z/n with its units as D = S = T."""
+    labels = [str(k) for k in range(n)]
+    table = [[str(a * b % n) for b in range(n)] for a in range(n)]
+    units = [str(u) for u in range(n) if gcd(u, n) == 1]
+    return make_monoid(labels, table, units, name=f"Z{n}")
 
 
 def z2_shell():

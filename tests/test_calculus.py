@@ -6,12 +6,14 @@ import pytest
 from catfrac.calculus import (
     equal_by_3x3,
     factorisation_square,
+    find_bridge,
     flip,
+    grid_relations,
     mixed_composite_equal,
 )
 from catfrac.core import DomainError
 from catfrac.fraction import compose_fractions
-from catfrac.instances import make_named
+from catfrac.instances import chain, make_named
 from catfrac.three_arrows import (
     ThreeArrow,
     fraction_equivalence,
@@ -21,7 +23,7 @@ from catfrac.three_arrows import (
     target_of,
 )
 
-from conftest import POSITIVE
+from conftest import POSITIVE, zmod
 
 
 def arrow(dd, b, f, a):
@@ -104,17 +106,77 @@ def test_normal_strengthening(name, named):
                 assert is_normal(dd, witness.bridge.mid2)
 
 
+def blocks(dd):
+    """(relations, three-arrows) of every (source, target) block of ``dd``."""
+    members = {}
+    for t in fraction_equivalence(dd).arrows:
+        members.setdefault((source_of(dd, t), target_of(dd, t)), []).append(t)
+    for (source, target), block in members.items():
+        yield grid_relations(dd, source, target), block
+
+
+def key(t):
+    return (t.b, t.f, t.a)
+
+
+@pytest.mark.parametrize(
+    "dd",
+    [make_named(name) for name in POSITIVE + ("IDEM",)]
+    + [zmod(n) for n in (2, 3, 5, 6)],
+    ids=lambda dd: dd.name,
+)
+def test_grid_relations_match_the_search(dd):
+    # the relation verdict is find_bridge's on every parallel pair; a
+    # positive equal_by_3x3 returns the search's first witness.  With
+    # S == T == D every three-arrow is normal and normal middle rows
+    # restrict nothing.
+    normals = (False,) if dd.is_ == dd.it == dd.iden else (False, True)
+    for rel, block in blocks(dd):
+        left = identity_arrow(dd, source_of(dd, block[0]))
+        right = identity_arrow(dd, target_of(dd, block[0]))
+        for k, t1 in enumerate(block):
+            for t2 in block[k:]:
+                for normal in normals:
+                    bridge = find_bridge(dd, t1, t2, left, right,
+                                         middles_in_D=True, rows_normal=normal)
+                    assert rel.grid_exists(key(t1), key(t2), normal) == (
+                        bridge is not None
+                    ), (t1.ids(dd), t2.ids(dd), normal)
+                    verdict, witness = equal_by_3x3(dd, t1, t2, normal)
+                    assert verdict == (bridge is not None)
+                    if verdict:
+                        assert witness.ids(dd) == bridge.ids(dd)
+
+
+@pytest.mark.parametrize(
+    "dd",
+    [chain(n) for n in range(2, 9)] + [zmod(n) for n in range(2, 13)],
+    ids=lambda dd: dd.name,
+)
+def test_grid_relations_match_the_oracle(dd):
+    part = fraction_equivalence(dd)
+    for rel, block in blocks(dd):
+        keys = [key(t) for t in block]
+        classes = [part.class_index(t) for t in block]
+        for k, k1 in enumerate(keys):
+            verdicts = [rel.grid_exists(k1, k2, False) for k2 in keys[k:]]
+            assert verdicts == [c == classes[k] for c in classes[k:]], block[k].ids(dd)
+
+
 def test_caches_die_with_their_structure():
-    # partition and solution maps live on the structure, not in the module
+    # partition, solution maps and grid relations live on the structure,
+    # not in the module
     dd = make_named("CH3")
     part = fraction_equivalence(dd)
     assert fraction_equivalence(dd) is part
     t = part.arrows[0]
     assert equal_by_3x3(dd, t, t)[0]
-    refs = (weakref.ref(dd), weakref.ref(dd.base))
-    del dd, part, t
+    (rel,) = dd.grid_relations.values()
+    assert grid_relations(dd, source_of(dd, t), target_of(dd, t)) is rel
+    refs = (weakref.ref(dd), weakref.ref(dd.base), weakref.ref(rel))
+    del dd, part, t, rel
     gc.collect()
-    assert [ref() for ref in refs] == [None, None]
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 # ------------------------------------------------------------------- flip

@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from catfrac import fileio
 from catfrac.cli import run
+from catfrac.core import DomainError
 from catfrac.instances import as_instance, chain, make_named
+from catfrac.three_arrows import ThreeArrow, check_normal
 
 from conftest import POSITIVE, poset_addition
 
@@ -166,6 +168,25 @@ def test_normalise_command(ch3_file, capsys):
     assert run(["normalise", ch3_file, "--arrow", "m_0_1,m_0_2,i_2"]) == 0
     out = capsys.readouterr().out.strip()
     assert len(out.split(",")) == 3
+
+
+def test_normalise_guard_survives_optimised_mode(tmp_path, capsys, monkeypatch):
+    # the normality guard raises DomainError rather than asserting, so
+    # `python -O` keeps it: called directly it rejects a non-normal arrow,
+    # and a non-normal result makes the command print one error line
+    dd = make_named("DIA-B")
+    mi = dd.base.mor_index
+    bad = ThreeArrow(mi["m_bot_a"], mi["m_bot_a"], mi["i_a"])
+    with pytest.raises(DomainError, match="is not normal"):
+        check_normal(dd, bad)
+    path = str(tmp_path / "diab")
+    assert run(["instance", "DIA-B", "-o", path]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("catfrac.cli.normalise", lambda dd, t: bad)
+    assert run(["normalise", path, "--arrow", "i_bot,i_bot,i_bot"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: m_bot_a,m_bot_a,i_a is not normal\n"
 
 
 def test_check_all_suites(ch3_file, capsys):

@@ -22,7 +22,7 @@ from catfrac.denominators import (
 from catfrac.fraction import full_subcategory
 from catfrac.instances import chain, make_monoid, make_named
 
-from conftest import POSITIVE
+from conftest import POSITIVE, zmod
 
 LADDER_RANK = {"none": 0, "multiplicative": 1, "semi-saturated": 2,
                "weakly-saturated": 3}
@@ -140,16 +140,10 @@ def test_opposite_structure_swaps_s_and_t(name, named):
     )
 
 
-def _z8_units_inverted():
-    labels = [str(k) for k in range(8)]
-    table = [[str(a * b % 8) for b in range(8)] for a in range(8)]
-    return make_monoid(labels, table, ["1", "3", "5", "7"], name="Z8")
-
-
 def test_shared_searches_match_brute_force(named):
     # factorisations and completions yield exactly the brute-force hits
     # over all candidate pairs, in index order
-    for dd in (*named.values(), chain(5), _z8_units_inverted()):
+    for dd in (*named.values(), chain(5), zmod(8)):
         cat = dd.base
         every = range(cat.n_morphisms)
         for firsts, seconds in ((dd.s_sorted, dd.t_sorted), (dd.den_sorted, dd.den_sorted)):

@@ -36,6 +36,7 @@ from .three_arrows import (
     enumerate_three_arrows,
     fraction_equivalence,
     fraction_generators,
+    generating_denominators,
     is_denominator_class,
     normalise,
 )

@@ -213,7 +213,7 @@ class ThreeByThreeWitness:
         ):
             raise DomainError("middle verticals must have denominator middles")
         for t in (self.bridge.left, self.bridge.right):
-            if not all(map(dd.base.is_identity, (t.b, t.f, t.a))):
+            if not all(map(dd.base.is_identity, t)):
                 raise DomainError("outer columns must be identities")
 
     def ids(self, dd: DenominatorData) -> str:
@@ -227,9 +227,10 @@ def _into_row(cat: FinCategory, den, index: dict, into, t: tuple) -> int:
         m.b == c1;t.b    c1;t.f == m.f;c2    m.a;c2 == t.a
 
     ``into[x]`` lists the members of C with target x in index order, and
-    ``index`` numbers the block's three-arrows as (b, f, a) tuples of
-    ``cat``.  Over the opposite category, with each tuple reversed and C
-    bucketed by source, the same sweep gives the out-row {m : t -> m}.
+    ``index`` numbers the block's three-arrows of ``cat``, looked up as
+    (b, f, a) tuples.  Over the opposite category, with each tuple
+    reversed and C bucketed by source, the same sweep gives the out-row
+    {m : t -> m}.
     """
     b, f, a = t
     comp = cat.icomp
@@ -270,14 +271,14 @@ class GridRelations:
 
     The block is enumerated from composition and membership in D alone,
     in index order, and never from the fraction partition; ``index`` maps
-    each (b, f, a) tuple to its position.  Each row is an ``int`` bitset
+    each three-arrow to its position.  Each row is an ``int`` bitset
     over the positions, built on first use and kept.
     """
 
     def __init__(self, dd: DenominatorData, source: int, target: int):
         cat, den = dd.base, dd.iden
         arrows = [
-            (b, f, a)
+            ThreeArrow(b, f, a)
             for b in cat.by_tgt[source]
             if b in den
             for f in cat.by_src[cat.isrc[b]]
@@ -304,7 +305,9 @@ class GridRelations:
         # the union of Mid over Top[t1], by normal_middles, then by t1
         self._reach = ([None] * n, [None] * n)
 
-    def grid_exists(self, t1: tuple, t2: tuple, normal_middles: bool) -> bool:
+    def grid_exists(
+        self, t1: ThreeArrow, t2: ThreeArrow, normal_middles: bool
+    ) -> bool:
         """Whether some m1 in Top[t1] has Mid[m1] meeting Bot[t2]; with
         ``normal_middles`` both m1 and m2 must be normal.
 
@@ -356,9 +359,7 @@ def equal_by_3x3(
     if (source, target) != (source_of(dd, t2), target_of(dd, t2)):
         raise DomainError("inputs are not parallel")
     rel = grid_relations(dd, source, target)
-    if not rel.grid_exists(
-        (t1.b, t1.f, t1.a), (t2.b, t2.f, t2.a), normal_middles
-    ):
+    if not rel.grid_exists(t1, t2, normal_middles):
         return False, None
     bridge = find_bridge(
         dd, t1, t2, identity_arrow(dd, source), identity_arrow(dd, target),

@@ -13,6 +13,7 @@ All types here are immutable after construction; operations are pure.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 
@@ -98,18 +99,22 @@ class FinCategory:
         # search costs the same over the category and over its opposite
         self._homs = {ends: tuple(members) for ends, members in homs.items()}
         # derived tables, built on first use and kept with the category
-        self._opposite: FinCategory | None = None
+        self._opposite: FinCategory | weakref.ref | None = None
         self._solution_maps = None
 
     def opposite(self) -> "FinCategory":
         """The opposite category: same ids, every arrow and composite reversed.
 
-        Built once and kept on both sides, so ``cat.opposite().opposite()
-        is cat``.  Index order is unchanged, which makes every index-order
-        search over the opposite meet its candidates in the same order as
-        the dual search over ``cat``.
+        Built once and kept by ``cat``; the opposite links back weakly, so
+        the two free by reference counting and ``cat.opposite().opposite()
+        is cat`` while ``cat`` lives.  Index order is unchanged, which makes
+        every index-order search over the opposite meet its candidates in
+        the same order as the dual search over ``cat``.
         """
-        if self._opposite is None:
+        op = self._opposite
+        if isinstance(op, weakref.ref):
+            op = op()
+        if op is None:
             op = object.__new__(FinCategory)
             op.__dict__.update(
                 self.__dict__,
@@ -120,18 +125,26 @@ class FinCategory:
                 by_tgt=self.by_src,
                 icomp={(j, i): k for (i, j), k in self.icomp.items()},
                 _homs={(y, x): h for (x, y), h in self._homs.items()},
-                _opposite=self,
+                _opposite=weakref.ref(self),
                 _solution_maps=None,
             )
             self._opposite = op
-        return self._opposite
+        return op
 
     def solution_maps(self):
         """left[(y, w)] = all x with comp(x, y) == w; right[(x, w)] dually.
 
-        Buckets are in index order; built on first use, then reused.
+        Buckets are in index order; built on first use, then reused.  The
+        opposite of a live category reads the original's pair swapped:
+        left over the opposite is right over the original.
         """
         if self._solution_maps is None:
+            link = self._opposite
+            original = link() if isinstance(link, weakref.ref) else None
+            if original is not None:
+                left, right = original.solution_maps()
+                self._solution_maps = right, left
+                return self._solution_maps
             left: dict[tuple[int, int], list[int]] = {}
             right: dict[tuple[int, int], list[int]] = {}
             for (x, y), w in self.icomp.items():

@@ -190,8 +190,9 @@ def is_weak_pushout(cat: FinCategory, square: tuple[int, int, int, int]) -> bool
 
     ``square = (i, f, f2, i2)`` with comp(i, f2) == comp(f, i2); for every
     cocone (u, v) with comp(i, u) == comp(f, v) some mediator w must give
-    comp(f2, w) == u and comp(i2, w) == v.  Brute force over all cocones
-    and all mediator candidates.
+    comp(f2, w) == u and comp(i2, w) == v.  Exhaustive, read from the
+    solution maps: for each u, the cocones are the v with comp(f, v) ==
+    comp(i, u), and the mediator candidates the w with comp(f2, w) == u.
     """
     i, f, f2, i2 = square
     if cat.isrc[i] != cat.isrc[f]:
@@ -203,13 +204,12 @@ def is_weak_pushout(cat: FinCategory, square: tuple[int, int, int, int]) -> bool
         or cat.icomp[(i, f2)] != cat.icomp[(f, i2)]
     ):
         raise DomainError("square does not commute")
-    peak = cat.itgt[f2]
+    comp, right_sol = cat.icomp, cat.solution_maps()[1]
     for u in cat.by_src[cat.itgt[i]]:
-        for v in cat.by_src[cat.itgt[f]]:
-            if cat.itgt[u] != cat.itgt[v] or cat.icomp[(i, u)] != cat.icomp[(f, v)]:
-                continue
-            for w in cat.hom(peak, cat.itgt[u]):
-                if cat.icomp[(f2, w)] == u and cat.icomp[(i2, w)] == v:
+        mediators = right_sol.get((f2, u), ())
+        for v in right_sol.get((f, comp[(i, u)]), ()):
+            for w in mediators:
+                if comp[(i2, w)] == v:
                     break
             else:
                 return False

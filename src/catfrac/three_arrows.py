@@ -9,20 +9,30 @@ target is src(a).  Fraction equality is the congruence generated by
 composing c into the right leg ((b, f, a) ~ (b, fc, ac) when ac stays a
 denominator) and c into the left leg ((b, f, a) ~ (cb, cf, a) when cb
 stays one).  Its classes are the morphisms of the fraction category.
+
+The partition unions only the moves by a generating set G of D's
+non-identity members (:func:`generating_denominators`).  A move by c1;c2
+is the move by c1 followed by the move by c2, so the G-moves span the
+same classes as the moves by every c, under two axioms: (2 of 3) puts
+every c with ac (or cb) in D into D itself, so c is a composite of
+members of G, and (Cat) keeps each intermediate leg a;c1 (or c1;b) in D,
+so each step of the spelled-out move is itself a move between
+three-arrows.  :class:`FractionPartition` therefore refuses a structure
+failing either axiom (or the category laws).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import DomainError
-from .denominators import DenominatorData
+from .denominators import AxiomError, DenominatorData
 from .unionfind import DisjointSet
 
 
-@dataclass(frozen=True, order=True)
-class ThreeArrow:
-    """Morphism indices (b, f, a); ordering is index-lexicographic."""
+class ThreeArrow(NamedTuple):
+    """Morphism indices (b, f, a); ordering is index-lexicographic, and a
+    three-arrow hashes and compares like the plain tuple (b, f, a)."""
 
     b: int
     f: int
@@ -81,29 +91,75 @@ def enumerate_three_arrows(dd: DenominatorData) -> list[ThreeArrow]:
     return out
 
 
+def generating_denominators(dd: DenominatorData) -> tuple[int, ...]:
+    """A generating set G of D's non-identity members under composition,
+    in index order.
+
+    G holds every member that is not a composite of two non-identity
+    members (each generating set must contain those), and then, walking
+    the other members in index order, each one that the composites of G
+    do not reach yet.  Assumes (Cat), so composites of members stay in D.
+    """
+    cat = dd.base
+    comp = cat.icomp
+    members = [d for d in dd.den_sorted if not cat.is_identity(d)]
+    split = {
+        comp[(x, y)]
+        for x in members
+        for y in dd.d_by_src[cat.itgt[x]]
+        if not cat.is_identity(y)
+    }
+    gens = [d for d in members if d not in split]
+    reached: set[int] = set()
+    out_of = [[] for _ in range(cat.n_objects)]
+    into = [[] for _ in range(cat.n_objects)]
+
+    def reach(g: int) -> None:
+        # each new composite is composed with every reached member on both
+        # sides, so ``reached`` stays closed under composition
+        work = [g]
+        while work:
+            x = work.pop()
+            if x in reached:
+                continue
+            reached.add(x)
+            out_of[cat.isrc[x]].append(x)
+            into[cat.itgt[x]].append(x)
+            work.extend(comp[(x, y)] for y in out_of[cat.itgt[x]])
+            work.extend(comp[(y, x)] for y in into[cat.isrc[x]])
+
+    for g in gens:
+        reach(g)
+    for d in members:
+        if d not in reached:
+            gens.append(d)
+            reach(d)
+    return tuple(sorted(gens))
+
+
 def fraction_generators(
     dd: DenominatorData, arrows: list[ThreeArrow]
 ) -> list[tuple[ThreeArrow, ThreeArrow]]:
     """Generating pairs for fraction equality, swept over ``arrows``.
 
-    Emits the right-leg moves (b, f, a) ~ (b, fc, ac) for all c with ac
-    in D and the left-leg moves (b, f, a) ~ (cb, cf, a) for all c with cb
-    in D.
+    Emits the right-leg moves (b, f, a) ~ (b, fg, ag) and the left-leg
+    moves (b, f, a) ~ (gb, gf, a) for every g in
+    :func:`generating_denominators`.  They span fraction equality when D
+    satisfies (Cat) and (2 of 3) (module docstring), which
+    :class:`FractionPartition` checks before it sweeps.
     """
     cat = dd.base
+    comp = cat.icomp
+    gens = generating_denominators(dd)
+    from_obj = [[g for g in gens if cat.isrc[g] == x] for x in range(cat.n_objects)]
+    to_obj = [[g for g in gens if cat.itgt[g] == x] for x in range(cat.n_objects)]
     pairs = []
     for t in arrows:
-        for c in cat.by_src[cat.itgt[t.f]]:
-            ac = cat.icomp[(t.a, c)]
-            if ac in dd.iden:
-                # semi-saturatedness makes c itself a denominator
-                assert c in dd.iden, "2-of-3 failed during generator sweep"
-                pairs.append((t, ThreeArrow(t.b, cat.icomp[(t.f, c)], ac)))
-        for c in cat.by_tgt[cat.isrc[t.f]]:
-            cb = cat.icomp[(c, t.b)]
-            if cb in dd.iden:
-                assert c in dd.iden, "2-of-3 failed during generator sweep"
-                pairs.append((t, ThreeArrow(cb, cat.icomp[(c, t.f)], t.a)))
+        b, f, a = t
+        for g in from_obj[cat.itgt[a]]:
+            pairs.append((t, ThreeArrow(b, comp[(f, g)], comp[(a, g)])))
+        for g in to_obj[cat.isrc[b]]:
+            pairs.append((t, ThreeArrow(comp[(g, b)], comp[(g, f)], a)))
     return pairs
 
 
@@ -111,11 +167,19 @@ class FractionPartition:
     """Classes of three-arrows under fraction equality.
 
     Class ids are "q" + index of the smallest member in enumeration
-    order, which keeps references stable across runs.
+    order, which keeps references stable across runs.  Raises AxiomError
+    unless the base is a category and D satisfies (Cat) and (2 of 3),
+    under which the generator moves span fraction equality.
     """
 
     def __init__(self, dd: DenominatorData):
-        self.dd = dd
+        failed = [
+            name
+            for name in dd.certificate().failed_axioms()
+            if name in ("(Base)", "(Cat)", "(2 of 3)")
+        ]
+        if failed:
+            raise AxiomError(failed)
         self.arrows = enumerate_three_arrows(dd)
         self.arrow_index = {t: i for i, t in enumerate(self.arrows)}
         ds = DisjointSet(len(self.arrows))

@@ -70,6 +70,25 @@ def one_step_generators(dd, arrows):
     return pairs
 
 
+def all_leg_moves(dd, arrows):
+    """Oracle generator family, straight from the definition: the right-leg
+    move (b, f, a) ~ (b, fc, ac) for every c with ac in D and the left-leg
+    move (b, f, a) ~ (cb, cf, a) for every c with cb in D.  The library
+    sweeps only the moves by a generating set of D."""
+    cat = dd.base
+    pairs = []
+    for t in arrows:
+        for c in cat.by_src[cat.itgt[t.f]]:
+            ac = cat.icomp[(t.a, c)]
+            if ac in dd.iden:
+                pairs.append((t, ThreeArrow(t.b, cat.icomp[(t.f, c)], ac)))
+        for c in cat.by_tgt[cat.isrc[t.f]]:
+            cb = cat.icomp[(c, t.b)]
+            if cb in dd.iden:
+                pairs.append((t, ThreeArrow(cb, cat.icomp[(c, t.f)], t.a)))
+    return pairs
+
+
 def bfs_partition(dd, generators=fraction_generators):
     """Independent closure oracle: connected components of the graph of
     ``generators(dd, arrows)``, computed by plain breadth-first search (no

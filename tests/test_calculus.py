@@ -115,10 +115,6 @@ def blocks(dd):
         yield grid_relations(dd, source, target), block
 
 
-def key(t):
-    return (t.b, t.f, t.a)
-
-
 @pytest.mark.parametrize(
     "dd",
     [make_named(name) for name in POSITIVE + ("IDEM",)]
@@ -139,7 +135,7 @@ def test_grid_relations_match_the_search(dd):
                 for normal in normals:
                     bridge = find_bridge(dd, t1, t2, left, right,
                                          middles_in_D=True, rows_normal=normal)
-                    assert rel.grid_exists(key(t1), key(t2), normal) == (
+                    assert rel.grid_exists(t1, t2, normal) == (
                         bridge is not None
                     ), (t1.ids(dd), t2.ids(dd), normal)
                     verdict, witness = equal_by_3x3(dd, t1, t2, normal)
@@ -156,10 +152,9 @@ def test_grid_relations_match_the_search(dd):
 def test_grid_relations_match_the_oracle(dd):
     part = fraction_equivalence(dd)
     for rel, block in blocks(dd):
-        keys = [key(t) for t in block]
         classes = [part.class_index(t) for t in block]
-        for k, k1 in enumerate(keys):
-            verdicts = [rel.grid_exists(k1, k2, False) for k2 in keys[k:]]
+        for k, t1 in enumerate(block):
+            verdicts = [rel.grid_exists(t1, t2, False) for t2 in block[k:]]
             assert verdicts == [c == classes[k] for c in classes[k:]], block[k].ids(dd)
 
 

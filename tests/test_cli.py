@@ -1,16 +1,18 @@
 import contextlib
 import copy
+import gc
 import io
 import json
+import weakref
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catfrac import fileio
+from catfrac import cli, fileio
 from catfrac.cli import run
 from catfrac.core import DomainError
-from catfrac.instances import as_instance, chain, make_named
+from catfrac.instances import as_instance, chain, from_instance, make_named
 from catfrac.three_arrows import ThreeArrow, check_normal
 
 from conftest import POSITIVE, poset_addition
@@ -72,6 +74,47 @@ def test_equal_both_methods(ch3_file, capsys):
     out = capsys.readouterr().out
     assert status == 0
     assert out.strip().splitlines()[-1] == "equal"
+
+
+@pytest.mark.parametrize(
+    "name, equal, compose",
+    [
+        ("CH3", ("i_1,m_1_2,i_2", "m_0_1,m_0_2,i_2"), ("i_0,m_0_1,i_1", "i_1,m_1_2,i_2")),
+        ("Z4", ("1,2,1", "3,2,1"), ("1,2,1", "3,2,1")),
+    ],
+)
+def test_requests_free_their_structures_by_refcount(
+    name, equal, compose, tmp_path, monkeypatch, capsys
+):
+    # with the cycle collector off, a request's structure, its category
+    # and that category's opposite die as soon as the request returns
+    path = str(tmp_path / name)
+    assert run(["instance", name, "-o", path]) == 0
+    refs = []
+
+    def capture(inst):
+        dd = from_instance(inst)
+        refs.append((weakref.ref(dd), weakref.ref(dd.base),
+                     weakref.ref(dd.base.opposite())))
+        return dd
+
+    monkeypatch.setattr(cli, "from_instance", capture)
+    requests = (
+        ["equal", path, "--left", equal[0], "--right", equal[1], "--method", "both"],
+        ["compose", path, "--left", compose[0], "--right", compose[1]],
+    )
+    gc.disable()
+    try:
+        for argv in requests:
+            assert run(argv) == 0
+        # read before the collector is back on: its first run would free
+        # what a reference cycle still holds
+        alive = [ref() is not None for triple in refs for ref in triple]
+    finally:
+        gc.enable()
+    assert len(refs) == len(requests)
+    assert alive == [False] * 6
+    capsys.readouterr()
 
 
 def test_equal_not_equal_is_still_success(tmp_path, capsys):

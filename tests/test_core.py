@@ -87,6 +87,23 @@ def test_opposite_is_a_memoised_involution(name):
         assert (op.src_of(f), op.tgt_of(f)) == (cat.tgt_of(f), cat.src_of(f))
 
 
+def test_opposite_shares_the_solution_maps_swapped():
+    cat = make_named("DIA").base
+    left, right = cat.solution_maps()
+    op_left, op_right = cat.opposite().solution_maps()
+    assert op_left is right and op_right is left
+
+
+def test_opposite_outliving_its_original_rebuilds_it():
+    # the back link is weak: once the original is gone, the opposite's
+    # opposite is built afresh with the same tables
+    op = make_named("CH3").base.opposite()
+    again = op.opposite()
+    assert again.table_equal(make_named("CH3").base)
+    assert again.opposite() is op and op.opposite() is again
+    assert op.solution_maps()[0] is again.solution_maps()[1]
+
+
 def test_identity_functor_validates():
     assert validate_functor(identity_functor(make_named("CH3").base)) == []
 

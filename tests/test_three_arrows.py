@@ -2,7 +2,8 @@ import pytest
 
 from catfrac.core import DomainError
 from catfrac import three_arrows
-from catfrac.instances import make_poset
+from catfrac.denominators import AxiomError
+from catfrac.instances import chain, diamond, make_named, make_poset
 from catfrac.three_arrows import (
     FractionPartition,
     ThreeArrow,
@@ -10,6 +11,7 @@ from catfrac.three_arrows import (
     enumerate_three_arrows,
     fraction_equivalence,
     fraction_generators,
+    generating_denominators,
     is_denominator_class,
     is_normal,
     normalise,
@@ -18,7 +20,13 @@ from catfrac.three_arrows import (
     target_of,
 )
 
-from conftest import POSITIVE, bfs_partition, one_step_generators
+from conftest import (
+    POSITIVE,
+    all_leg_moves,
+    bfs_partition,
+    one_step_generators,
+    zmod,
+)
 
 
 def arrow(dd, b, f, a):
@@ -48,7 +56,7 @@ def test_enumeration_is_sorted_and_well_formed(named):
 
 def test_generator_examples(named):
     walk = named["WALK"]
-    pairs = fraction_generators(walk, enumerate_three_arrows(walk))
+    pairs = all_leg_moves(walk, enumerate_three_arrows(walk))
     base = arrow(walk, "i_0", "i_0", "i_0")
     assert (base, arrow(walk, "i_0", "m_0_1", "m_0_1")) in pairs
     assert (base, base) in pairs  # identity action relates to itself
@@ -56,7 +64,64 @@ def test_generator_examples(named):
     assert (
         arrow(ch3, "i_1", "m_1_2", "i_2"),
         arrow(ch3, "m_0_1", "m_0_2", "i_2"),
-    ) in fraction_generators(ch3, enumerate_three_arrows(ch3))
+    ) in all_leg_moves(ch3, enumerate_three_arrows(ch3))
+
+
+def composite_closure(cat, members):
+    """Every composite of one or more of ``members``, by plain fixpoint."""
+    closure = set(members)
+    while True:
+        more = {
+            cat.icomp[(x, y)] for x in closure for y in closure
+            if cat.composable(x, y)
+        } - closure
+        if not more:
+            return closure
+        closure |= more
+
+
+@pytest.mark.parametrize(
+    "dd, size",
+    [(chain(n), n - 1) for n in (2, 3, 6, 8, 14)]
+    + [(zmod(n), size) for n, size in ((4, 1), (8, 2), (9, 1), (12, 2), (16, 2))]
+    + [(diamond(), 4)],
+    ids=lambda x: getattr(x, "name", str(x)),
+)
+def test_generating_denominators_reach_all_of_D(dd, size):
+    cat = dd.base
+    gens = generating_denominators(dd)
+    assert len(gens) == size and list(gens) == sorted(gens)
+    assert all(g in dd.iden and not cat.is_identity(g) for g in gens)
+    members = {d for d in dd.iden if not cat.is_identity(d)}
+    assert members <= composite_closure(cat, gens)
+
+
+def test_generating_denominators_examples():
+    z16 = zmod(16)
+    mi = z16.base.mor_index
+    assert generating_denominators(z16) == (mi["3"], mi["5"])
+    ch = chain(14)
+    steps = {ch.base.mor_index[f"m_{k}_{k + 1}"] for k in range(13)}
+    assert set(generating_denominators(ch)) == steps
+
+
+@pytest.mark.parametrize(
+    "dd",
+    [make_named(name) for name in POSITIVE]
+    + [chain(n) for n in range(2, 9)]
+    + [zmod(n) for n in (6, 8, 9, 12)],
+    ids=lambda dd: dd.name,
+)
+def test_generating_set_moves_match_all_moves(dd):
+    assert FractionPartition(dd).groups == bfs_partition(dd, all_leg_moves)
+
+
+def test_partition_refuses_a_structure_failing_cat():
+    # m_0_1 and m_1_2 are denominators but their composite m_0_2 is not
+    dd = chain(4, ["m_0_1", "m_1_2", "i_0", "i_1", "i_2", "i_3"])
+    with pytest.raises(AxiomError) as err:
+        FractionPartition(dd)
+    assert "(Cat)" in err.value.axioms
 
 
 @pytest.mark.parametrize("name", POSITIVE)
@@ -245,6 +310,8 @@ def test_parse_three_arrow(named):
     dd = named["CH3"]
     t = parse_three_arrow(dd, "i_1,m_1_2,i_2")
     assert t == arrow(dd, "i_1", "m_1_2", "i_2")
+    # a three-arrow is looked up in tables keyed by plain (b, f, a) tuples
+    assert t == (t.b, t.f, t.a) and hash(t) == hash((t.b, t.f, t.a))
     with pytest.raises(DomainError):
         parse_three_arrow(dd, "i_1,m_1_2")
     with pytest.raises(DomainError):

@@ -8,6 +8,7 @@ same strings the test-suite parses.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import fileio
@@ -199,7 +200,10 @@ def cmd_instance(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  Each parse starts
+    from a fresh namespace, so no argument carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="catfrac",
         description="Localisation of finite categories by three-arrow fractions.",

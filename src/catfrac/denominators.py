@@ -10,16 +10,18 @@ category.  The checkers below decide, with explicit witnesses:
   * factorisation of every member of D as an S-member followed by a
     T-member,
 
-and bundle the lot into a single structure report.  Completions and
-factorisations found by the sweeps are cached (index-smallest choice per
-key, written once) because the downstream constructions replay them.
+and bundle the lot into a single structure report.  The downstream
+constructions replay the witnesses by key, so the report keeps them: the
+index-smallest factorisation of every member of D, and for (WU) the
+generator witnesses plus on-demand lookup of every other pair (searched
+on first lookup, then kept).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import DomainError, FinCategory, FunctorTable
+from .core import DomainError, FinCategory, FunctorTable, generating_set
 
 LADDER = ("none", "multiplicative", "semi-saturated", "weakly-saturated")
 
@@ -229,60 +231,122 @@ def is_weak_pullback(cat: FinCategory, square: tuple[int, int, int, int]) -> boo
 class WUResult:
     ok: bool
     failures: list[tuple[str, str, str]]
-    pushouts: dict[tuple[int, int], OreWitness]
-    pullbacks: dict[tuple[int, int], OreWitness]
+    pushouts: CompletionMap
+    pullbacks: CompletionMap
 
 
-def check_WU(dd: DenominatorData) -> WUResult:
-    """Search weakly universal completions for every (i in S, f) pair with a
-    common source and every (p in T, f) pair with a common target.
+class CompletionMap(dict):
+    """The (WU) witnesses of one side, keyed by (i, f): for each pair the
+    first of :func:`completions`, as an :class:`OreWitness`.
 
-    The index-smallest completion passing the weak universal property is
-    cached per pair; the pair goes to the failure list when no candidate
-    passes.  The pullback side is the pushout-side sweep of the opposite
-    structure, where T plays the part of S.
+    Holds the witnesses searched so far.  Looking up any other key runs
+    its search then and keeps the witness; KeyError when (i, f) is not a
+    pair of this side or has no completion.  The map holds the category
+    and the member set, never the :class:`DenominatorData`, so the
+    certificate its structure keeps makes no reference cycle.
     """
-    pushouts, failures = _pushout_completions(dd, "pushout-side")
-    pullbacks, dual_failures = _pushout_completions(dd.opposite(), "pullback-side")
-    failures += dual_failures
-    return WUResult(not failures, failures, pushouts, pullbacks)
+
+    def __init__(self, cat: FinCategory, members: frozenset[int], kind: str):
+        super().__init__()
+        self.cat, self.members, self.kind = cat, members, kind
+
+    def search(self, i: int, f: int) -> OreWitness | None:
+        """Find, keep and return the witness for (i, f); None if none."""
+        cat = self.cat
+        found = next(completions(cat, self.members, i, f), None)
+        if found is None:
+            return None
+        corners = (cat.isrc[i], cat.itgt[i], cat.itgt[f], cat.itgt[found[0]])
+        self[(i, f)] = witness = OreWitness(self.kind, (i, f), found, corners)
+        return witness
+
+    def __missing__(self, key: tuple[int, int]) -> OreWitness:
+        i, f = key
+        witness = None
+        if i in self.members and self.cat.isrc[i] == self.cat.isrc[f]:
+            witness = self.search(i, f)
+        if witness is None:
+            raise KeyError(key)
+        return witness
 
 
-def _pushout_completions(dd: DenominatorData, kind: str):
-    """Pushout-side (WU) sweep over (i in S, f) pairs, in index order.
+def _wu_sides(dd: DenominatorData) -> tuple[CompletionMap, CompletionMap]:
+    # the pullback side is the pushout side of the opposite, where T plays
+    # the part of S
+    return (
+        CompletionMap(dd.base, dd.is_, "pushout-side"),
+        CompletionMap(dd.base.opposite(), dd.it, "pullback-side"),
+    )
 
-    Returns the witness per pair and the (kind, i, f) failures.  Corners
-    are (shared source, tgt i, tgt f, completion corner).
+
+WU_BY_GENERATORS = ("(Base)", "(S-mult)", "(T-mult)")
+
+
+def check_WU(
+    dd: DenominatorData, certified: AxiomCertificate | None = None
+) -> WUResult:
+    """Weakly universal completions for every (i in S, f) pair with a common
+    source and every (p in T, f) pair with a common target.
+
+    When ``certified`` (the certificate under construction) already passes
+    (Base), (S-mult) and (T-mult), the pairs (g, f) with g in a generating
+    set of S (of T over the opposite) decide the verdict: by the pasting
+    lemma for weak pushouts, completions of (g1, f) and of (g2, f1) paste
+    to one of (g1;g2, f).  The result then holds the generator witnesses
+    plus on-demand lookup of every other key.  Otherwise, or when a
+    generator pair fails, :func:`sweep_WU` decides, so the failure list is
+    always complete.  Either way each key's witness is the index-smallest
+    completion passing the weak universal property.
     """
-    cat = dd.base
-    witnesses: dict[tuple[int, int], OreWitness] = {}
+    if certified is not None and certified.passes(*WU_BY_GENERATORS):
+        sides = _wu_sides(dd)
+        if all(
+            side.search(g, f) is not None
+            for side in sides
+            for g in generating_set(side.cat, side.members)
+            for f in side.cat.by_src[side.cat.isrc[g]]
+        ):
+            return WUResult(True, [], *sides)
+    return sweep_WU(dd)
+
+
+def sweep_WU(dd: DenominatorData) -> WUResult:
+    """Exhaustive (WU): search every pair of both sides, in index order.
+
+    Each pair's witness goes to its side's map; the pair goes to the
+    failure list, as (kind, i, f) ids, when no candidate passes.
+    """
+    sides = _wu_sides(dd)
     failures: list[tuple[str, str, str]] = []
-    for i in dd.s_sorted:
-        for f in cat.by_src[cat.isrc[i]]:
-            found = next(completions(dd, i, f), None)
-            if found:
-                corner = cat.itgt[found[0]]
-                witnesses[(i, f)] = OreWitness(
-                    kind, (i, f), found, (cat.isrc[i], cat.itgt[i], cat.itgt[f], corner)
-                )
-            else:
-                failures.append((kind, cat.morphisms[i], cat.morphisms[f]))
-    return witnesses, failures
+    for side in sides:
+        cat = side.cat
+        for i in sorted(side.members):
+            for f in cat.by_src[cat.isrc[i]]:
+                if side.search(i, f) is None:
+                    failures.append((side.kind, cat.morphisms[i], cat.morphisms[f]))
+    return WUResult(not failures, failures, *sides)
 
 
-def completions(dd: DenominatorData, i: int, f: int):
-    """Every (f2, i2) with i2 in S making (i, f, f2, i2) a weak pushout,
-    in index order.  Over ``dd.opposite()`` these are the pullback-side
-    completions (f2, p2) of (p, f), p2 in T."""
-    cat = dd.base
+def completions(cat: FinCategory, members: frozenset[int], i: int, f: int):
+    """Every (f2, i2) with i2 in ``members`` making (i, f, f2, i2) a weak
+    pushout in ``cat``, in index order.  Over ``cat.opposite()`` with T as
+    the members these are the pullback-side completions (f2, p2) of
+    (p, f)."""
     for f2 in cat.by_src[cat.itgt[i]]:
         for i2 in cat.hom(cat.itgt[f], cat.itgt[f2]):
             if (
-                i2 in dd.is_
+                i2 in members
                 and cat.icomp[(i, f2)] == cat.icomp[(f, i2)]
                 and is_weak_pushout(cat, (i, f, f2, i2))
             ):
                 yield f2, i2
+
+
+def generating_denominators(dd: DenominatorData) -> tuple[int, ...]:
+    """A generating set of D's non-identity members under composition, in
+    index order (:func:`catfrac.core.generating_set`).  Assumes (Base) and
+    (Cat)."""
+    return generating_set(dd.base, dd.iden)
 
 
 def factorisations(cat: FinCategory, x: int, firsts, seconds):
@@ -335,6 +399,11 @@ class AxiomCertificate:
     @property
     def ok(self) -> bool:
         return all(passed for _, passed, _ in self.items)
+
+    def passes(self, *names: str) -> bool:
+        """Whether every named axiom is decided and passed."""
+        decided = {name: passed for name, passed, _ in self.items}
+        return all(decided.get(name, False) for name in names)
 
     def failed_axioms(self) -> list[str]:
         return [name for name, passed, _ in self.items if not passed]
@@ -392,7 +461,7 @@ def check_uni_fractionable(dd: DenominatorData) -> AxiomCertificate:
             None if t_sub else " ".join(dd.dump_ids(dd.it - dd.iden)),
         )
     )
-    cert.wu = check_WU(dd)
+    cert.wu = check_WU(dd, cert)
     cert.items.append(
         (
             "(WU)",

@@ -9,6 +9,8 @@ byte-stable across runs.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .core import DomainError, FinCategory
 from .denominators import DenominatorData
 from .fileio import CoproductData, Instance
@@ -121,6 +123,36 @@ def make_monoid(
         {(labels[a], labels[b]): table[a][b] for a in range(n) for b in range(n)},
     )
     return DenominatorData(cat, denominators, s_denominators, t_denominators, name=name)
+
+
+def transformation_monoid(n: int) -> DenominatorData:
+    """The full transformation monoid T_n: every map {0..n-1} -> {0..n-1},
+    with its units (the permutations) as D = S = T.
+
+    A map is named by its images, e.g. "120" sends 0 to 1, 1 to 2 and 2 to
+    0; maps come in lexicographic order.  The composite "f then g" is the
+    map x -> g(f(x)), which is associative by construction.
+    """
+    if not 1 <= n <= 9:
+        raise DomainError(f"transformation monoid needs 1 <= n <= 9, got {n}")
+    maps = list(product(range(n), repeat=n))
+    label = {m: "".join(map(str, m)) for m in maps}
+    labels = [label[m] for m in maps]
+    cat = FinCategory(
+        f"T{n}",
+        ["pt"],
+        labels,
+        {x: "pt" for x in labels},
+        {x: "pt" for x in labels},
+        {"pt": label[tuple(range(n))]},
+        {
+            (label[f], label[g]): label[tuple(g[x] for x in f)]
+            for f in maps
+            for g in maps
+        },
+    )
+    units = [label[m] for m in maps if len(set(m)) == n]
+    return DenominatorData(cat, units, name=cat.name)
 
 
 def chain(n: int, denominators="all", name=None, **kw) -> DenominatorData:

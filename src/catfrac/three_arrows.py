@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import DomainError
-from .denominators import AxiomError, DenominatorData
+from .denominators import AxiomError, DenominatorData, generating_denominators
 from .unionfind import DisjointSet
 
 
@@ -89,52 +89,6 @@ def enumerate_three_arrows(dd: DenominatorData) -> list[ThreeArrow]:
                     out.append(ThreeArrow(b, f, a))
     out.sort()
     return out
-
-
-def generating_denominators(dd: DenominatorData) -> tuple[int, ...]:
-    """A generating set G of D's non-identity members under composition,
-    in index order.
-
-    G holds every member that is not a composite of two non-identity
-    members (each generating set must contain those), and then, walking
-    the other members in index order, each one that the composites of G
-    do not reach yet.  Assumes (Cat), so composites of members stay in D.
-    """
-    cat = dd.base
-    comp = cat.icomp
-    members = [d for d in dd.den_sorted if not cat.is_identity(d)]
-    split = {
-        comp[(x, y)]
-        for x in members
-        for y in dd.d_by_src[cat.itgt[x]]
-        if not cat.is_identity(y)
-    }
-    gens = [d for d in members if d not in split]
-    reached: set[int] = set()
-    out_of = [[] for _ in range(cat.n_objects)]
-    into = [[] for _ in range(cat.n_objects)]
-
-    def reach(g: int) -> None:
-        # each new composite is composed with every reached member on both
-        # sides, so ``reached`` stays closed under composition
-        work = [g]
-        while work:
-            x = work.pop()
-            if x in reached:
-                continue
-            reached.add(x)
-            out_of[cat.isrc[x]].append(x)
-            into[cat.itgt[x]].append(x)
-            work.extend(comp[(x, y)] for y in out_of[cat.itgt[x]])
-            work.extend(comp[(y, x)] for y in into[cat.isrc[x]])
-
-    for g in gens:
-        reach(g)
-    for d in members:
-        if d not in reached:
-            gens.append(d)
-            reach(d)
-    return tuple(sorted(gens))
 
 
 def fraction_generators(
@@ -246,7 +200,7 @@ def normalise(dd: DenominatorData, t: ThreeArrow) -> ThreeArrow:
       denominator a i1 = j q;  pull f1 back against q to (f2, q1);
       the result is (q1 p, f2, j).
 
-    All four steps use the cached axiom witnesses, so the output is
+    All four steps read the certificate's witnesses, so the output is
     deterministic; only its class, not its spelling, is the contract.
     """
     cert = dd.certificate()
@@ -299,11 +253,13 @@ def common_denominator(
         # key (n2.b, n1.b) satisfies comp(cf, n2.b) == comp(cp, n1.b), cp in T
         cf, cp = cert.wu.pullbacks[(n2.b, n1.b)].completion
         b1, b2 = cat.icomp[(cp, n1.b)], cat.icomp[(cf, n2.b)]
-        assert b1 == b2
+        if b1 != b2:  # cannot happen once the certificate is ok
+            raise AssertionError(f"pullback witness does not commute: {b1} != {b2}")
         f1, f2 = cat.icomp[(cp, f1)], cat.icomp[(cf, f2)]
     if share_i:
         i2c, i1c = cert.wu.pushouts[(n1.a, n2.a)].completion
         a1, a2 = cat.icomp[(n1.a, i2c)], cat.icomp[(n2.a, i1c)]
-        assert a1 == a2
+        if a1 != a2:  # cannot happen once the certificate is ok
+            raise AssertionError(f"pushout witness does not commute: {a1} != {a2}")
         f1, f2 = cat.icomp[(f1, i2c)], cat.icomp[(f2, i1c)]
     return ThreeArrow(b1, f1, a1), ThreeArrow(b2, f2, a2)

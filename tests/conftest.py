@@ -3,9 +3,16 @@ from math import gcd
 
 import pytest
 
+from catfrac.core import Violation
 from catfrac.denominators import completions, factorisations
 from catfrac.fileio import AdditionTables
-from catfrac.instances import make_monoid, make_named
+from catfrac.instances import (
+    NAMED,
+    chain,
+    make_monoid,
+    make_named,
+    transformation_monoid,
+)
 from catfrac.three_arrows import ThreeArrow, enumerate_three_arrows, fraction_generators
 
 POSITIVE = ("WALK", "CH3", "DIA", "DIA-B", "PAR", "Z4")
@@ -17,6 +24,18 @@ def zmod(n):
     table = [[str(a * b % n) for b in range(n)] for a in range(n)]
     units = [str(u) for u in range(n) if gcd(u, n) == 1]
     return make_monoid(labels, table, units, name=f"Z{n}")
+
+
+def certificate_ladder():
+    """The structures whose reduced certificate paths are pinned against the
+    full sweeps: the named instances, chain(n <= 8), Z/n for n <= 12 and
+    the transformation monoid T3."""
+    return (
+        [make_named(name) for name in NAMED]
+        + [chain(n) for n in range(2, 9)]
+        + [zmod(n) for n in range(2, 13)]
+        + [transformation_monoid(3)]
+    )
 
 
 def z2_shell():
@@ -124,10 +143,52 @@ def strict_composites_all(dd, t1, t2):
     b2a1 = cat.icomp[(t2.b, t1.a)]
     op = dd.opposite()
     for j, q in factorisations(cat, b2a1, dd.s_sorted, dd.t_sorted):
-        for f1p, q1 in completions(op, q, t1.f):
-            for f2p, j1 in completions(dd, j, t2.f):
+        for f1p, q1 in completions(op.base, op.is_, q, t1.f):
+            for f2p, j1 in completions(cat, dd.is_, j, t2.f):
                 yield ThreeArrow(
                     cat.icomp[(q1, t1.b)],
                     cat.icomp[(f1p, f2p)],
                     cat.icomp[(t2.a, j1)],
                 )
+
+
+def reference_validate_category(cat):
+    """The category laws by the plain exhaustive sweeps, in the library's
+    report order; the library decides associativity at a generating set."""
+    report = []
+    n, m = cat.n_morphisms, cat.morphisms
+    for x in range(cat.n_objects):
+        e = cat.iidentity[x]
+        if cat.isrc[e] != x or cat.itgt[e] != x:
+            report.append(Violation("identity-endpoints", (cat.objects[x], m[e])))
+    for i in range(n):
+        for j in range(n):
+            defined = (i, j) in cat.icomp
+            if cat.itgt[i] == cat.isrc[j]:
+                if not defined:
+                    report.append(Violation("missing-composite", (m[i], m[j])))
+                else:
+                    k = cat.icomp[(i, j)]
+                    if cat.isrc[k] != cat.isrc[i] or cat.itgt[k] != cat.itgt[j]:
+                        report.append(
+                            Violation("composite-endpoints", (m[i], m[j], m[k]))
+                        )
+            elif defined:
+                report.append(Violation("spurious-composite", (m[i], m[j])))
+    if report:
+        return report
+    for i in range(n):
+        e_s, e_t = cat.iidentity[cat.isrc[i]], cat.iidentity[cat.itgt[i]]
+        if cat.icomp[(e_s, i)] != i:
+            report.append(Violation("left-identity", (m[e_s], m[i])))
+        if cat.icomp[(i, e_t)] != i:
+            report.append(Violation("right-identity", (m[i], m[e_t])))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if cat.itgt[i] != cat.isrc[j] or cat.itgt[j] != cat.isrc[k]:
+                    continue
+                lhs = cat.icomp[(cat.icomp[(i, j)], k)]
+                if lhs != cat.icomp[(i, cat.icomp[(j, k)])]:
+                    report.append(Violation("associativity", (m[i], m[j], m[k])))
+    return report

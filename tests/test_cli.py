@@ -3,6 +3,9 @@ import copy
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
 
@@ -115,6 +118,72 @@ def test_requests_free_their_structures_by_refcount(
     assert len(refs) == len(requests)
     assert alive == [False] * 6
     capsys.readouterr()
+
+
+def test_parser_is_built_once_and_keeps_no_arguments(ch3_file, capsys):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    pair = ["--left", "i_1,m_1_2,i_2", "--right", "m_0_1,m_0_2,i_2"]
+    flagged = parser.parse_args(
+        ["equal", ch3_file, *pair, "--witness", "--method", "both"]
+    )
+    plain = parser.parse_args(["equal", ch3_file, *pair])
+    assert (flagged.witness, flagged.method) == (True, "both")
+    assert (plain.witness, plain.method) == (False, "oracle")
+    assert not hasattr(parser.parse_args(["check", ch3_file]), "witness")
+    # the same requests through run, after others with other flags, print
+    # what they print first
+    requests = (
+        ["axioms", ch3_file, "--witness"],
+        ["equal", ch3_file, *pair, "--method", "both", "--witness"],
+        ["check", ch3_file, "--suite", "axioms"],
+        ["compose", ch3_file, "--left", "i_0,m_0_1,i_1", "--right", "i_1,m_1_2,i_2",
+         "--mode", "lax"],
+        ["equal", ch3_file, *pair],
+        ["axioms", ch3_file],
+        ["check", ch3_file],
+        ["equal", ch3_file, "--left", "i_1,m_1_2"],
+        ["--help"],
+        ["compose", ch3_file, "--left", "i_0,m_0_1,i_1", "--right", "i_1,m_1_2,i_2"],
+    )
+
+    def outputs(order):
+        seen = {}
+        for k in order:
+            status = run(list(requests[k]))
+            captured = capsys.readouterr()
+            seen[k] = (status, captured.out, captured.err)
+        return seen
+
+    forward = outputs(range(len(requests)))
+    assert outputs(reversed(range(len(requests)))) == forward
+    assert [forward[k][0] for k in range(len(requests))] == [0] * 7 + [2, 0, 0]
+    assert "(Fac) witness" in forward[0][1] and "(Fac) witness" not in forward[5][1]
+    assert forward[1][1].startswith("witness ") and forward[4][1] == "equal\n"
+    assert "theorem PASS" in forward[6][1] and "theorem" not in forward[2][1]
+
+
+def test_optimised_mode_answers_through_on_demand_witnesses(ch3_file, capsys):
+    # `python -O` strips assert statements; equal, compose and the transport
+    # suite (through common_denominator) answer as in-process, from
+    # witnesses looked up on demand
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    pair = ["--left", "i_1,m_1_2,i_2", "--right", "m_0_1,m_0_2,i_2"]
+    for argv in (
+        ["equal", ch3_file, *pair, "--method", "both"],
+        ["compose", ch3_file, "--left", "i_0,m_0_1,i_1", "--right", "i_1,m_1_2,i_2"],
+        ["compose", ch3_file, "--left", "m_0_1,m_0_2,i_2", "--right", "i_2,i_2,i_2"],
+        ["check", ch3_file, "--suite", "transport"],
+    ):
+        assert run(argv) == 0
+        expected = capsys.readouterr().out
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "catfrac", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+    assert "coproducts-preserved PASS" in expected
 
 
 def test_equal_not_equal_is_still_success(tmp_path, capsys):

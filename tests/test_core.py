@@ -1,15 +1,23 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import random
+
+from catfrac import core, denominators
 from catfrac.core import (
     DomainError,
     FinCategory,
     FunctorTable,
+    associativity_violations,
+    generating_set,
     identity_functor,
     validate_category,
     validate_functor,
 )
-from catfrac.instances import NAMED, make_named, make_poset
+from catfrac.denominators import check_uni_fractionable, sweep_WU
+from catfrac.instances import NAMED, make_named, make_poset, transformation_monoid
+
+from conftest import certificate_ladder, reference_validate_category, zmod
 
 
 def hand_built_ch3():
@@ -159,3 +167,63 @@ def test_random_poset_categories_satisfy_the_laws(data):
     objects, leq = data
     dd = make_poset(objects, leq, "identities", name="rand")
     assert validate_category(dd.base) == []
+
+
+def light_verdict(cat):
+    gens = frozenset(generating_set(cat, range(cat.n_morphisms)))
+    return not associativity_violations(cat, gens)
+
+
+@pytest.mark.parametrize("dd", certificate_ladder(), ids=lambda dd: dd.name)
+def test_light_test_matches_the_full_sweep(dd):
+    cat = dd.base
+    assert validate_category(cat) == reference_validate_category(cat) == []
+    assert light_verdict(cat) and associativity_violations(cat) == []
+
+
+def corruptible(name):
+    """A fresh structure, to corrupt in place."""
+    if name == "Z6":
+        return zmod(6)
+    if name == "T3":
+        return transformation_monoid(3)
+    return make_named(name)
+
+
+def single_entry_corruptions():
+    """(base, pair, new composite) for every single-entry change of a small
+    composition table, and for a seeded sample of T3's."""
+    for name in ("CH3", "DIA", "PAR", "IDEM", "Z4", "Z6"):
+        cat = corruptible(name).base
+        for pair in sorted(cat.icomp):
+            for k in range(cat.n_morphisms):
+                if k != cat.icomp[pair]:
+                    yield name, pair, k
+    rng = random.Random(3)
+    pairs = sorted(corruptible("T3").base.icomp)
+    for _ in range(20):
+        yield "T3", rng.choice(pairs), rng.randrange(27)
+
+
+def test_corrupted_tables_report_as_the_full_sweeps(monkeypatch):
+    def corrupted():
+        for name, pair, k in single_entry_corruptions():
+            dd = corruptible(name)
+            dd.base.icomp[pair] = k
+            yield dd
+
+    reduced = []
+    for dd in corrupted():
+        cat = dd.base
+        report = validate_category(cat)
+        assert report == reference_validate_category(cat)
+        if not {v.code for v in report} - {"associativity"}:
+            assert light_verdict(cat) == (not report)
+        reduced.append(check_uni_fractionable(dd).lines())
+    # the same certificates with both reduced paths swapped for the sweeps
+    monkeypatch.setattr(core, "validate_category", reference_validate_category)
+    monkeypatch.setattr(denominators, "check_WU", lambda dd, cert=None: sweep_WU(dd))
+    assert [check_uni_fractionable(dd).lines() for dd in corrupted()] == reduced
+    assert any(lines[0].startswith("(Base) FAIL witness associativity")
+               for lines in reduced)
+    assert any(len(lines) == 9 for lines in reduced)

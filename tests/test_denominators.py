@@ -3,11 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catfrac.core import FinCategory, FunctorTable, identity_functor
+from catfrac.core import FinCategory, FunctorTable, generating_set, identity_functor
 from catfrac.denominators import (
+    WU_BY_GENERATORS,
     DenominatorData,
     check_Fac,
     check_WU,
+    check_uni_fractionable,
     classify_saturation,
     completions,
     factorisations,
@@ -17,12 +19,13 @@ from catfrac.denominators import (
     is_uni_fractionable,
     is_weak_pullback,
     is_weak_pushout,
+    sweep_WU,
     validate_uf_morphism,
 )
 from catfrac.fraction import full_subcategory
 from catfrac.instances import chain, make_monoid, make_named
 
-from conftest import POSITIVE, zmod
+from conftest import POSITIVE, certificate_ladder, zmod
 
 LADDER_RANK = {"none": 0, "multiplicative": 1, "semi-saturated": 2,
                "weakly-saturated": 3}
@@ -169,7 +172,7 @@ def test_shared_searches_match_brute_force(named):
                         and c.icomp[(i, f2)] == c.icomp[(f, i2)]
                         and is_weak_pushout(c, (i, f, f2, i2))
                     ]
-                    assert list(completions(side, i, f)) == brute
+                    assert list(completions(c, side.is_, i, f)) == brute
 
 
 def test_check_wu_witnesses_revalidate(named):
@@ -184,6 +187,87 @@ def test_check_wu_witnesses_revalidate(named):
             f2, p2 = wit.completion
             assert p2 in dd.it
             assert is_weak_pullback(dd.base, (p, f, f2, p2))
+
+
+def assert_same_wu(dd, reduced, full):
+    """Same verdict and failure list, and the same first witness for every
+    pair of both sides (KeyError on exactly the failing pairs)."""
+    assert (reduced.ok, reduced.failures) == (full.ok, full.failures)
+    for side, (lazy, swept) in enumerate(
+        ((reduced.pushouts, full.pushouts), (reduced.pullbacks, full.pullbacks))
+    ):
+        cat = dd.base if side == 0 else dd.base.opposite()
+        for i in sorted(dd.is_ if side == 0 else dd.it):
+            for f in cat.by_src[cat.isrc[i]]:
+                if (i, f) in swept:
+                    assert lazy[(i, f)] == swept[(i, f)]
+                else:
+                    with pytest.raises(KeyError):
+                        lazy[(i, f)]
+
+
+def generator_pairs(cat, members):
+    return {
+        (g, f) for g in generating_set(cat, members) for f in cat.by_src[cat.isrc[g]]
+    }
+
+
+@pytest.mark.parametrize("dd", certificate_ladder(), ids=lambda dd: dd.name)
+def test_wu_by_generators_matches_the_sweep(dd):
+    cert = dd.certificate()
+    reduced = cert.wu
+    if reduced.ok and cert.passes(*WU_BY_GENERATORS):
+        # the reduced path searched exactly the generator pairs
+        assert set(reduced.pushouts) == generator_pairs(dd.base, dd.is_)
+        assert set(reduced.pullbacks) == generator_pairs(dd.base.opposite(), dd.it)
+    assert_same_wu(dd, reduced, sweep_WU(dd))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_wu_by_generators_matches_the_sweep_on_subsets(data):
+    # S, T range over subsets of D holding the identities, half of them
+    # closed under composition, so that both paths and failing generator
+    # pairs all occur
+    dd = data.draw(st.sampled_from([chain(4), make_named("DIA"), zmod(8), zmod(12)]))
+    cat = dd.base
+    identities = {cat.identity_of(x) for x in cat.objects}
+
+    def subset():
+        chosen = set(identities) | set(
+            data.draw(st.lists(st.sampled_from(dd.denominator_ids), max_size=6))
+        )
+        if data.draw(st.booleans()):
+            while True:
+                closed = chosen | {
+                    cat.compose(f, g) for f in chosen for g in chosen
+                    if cat.tgt_of(f) == cat.src_of(g)
+                }
+                if closed == chosen:
+                    break
+                chosen = closed
+        return sorted(chosen)
+
+    sub = DenominatorData(cat, dd.denominator_ids, subset(), subset(), name="sub")
+    cert = check_uni_fractionable(sub)
+    assert_same_wu(sub, check_WU(sub, cert), sweep_WU(sub))
+
+
+def test_wu_sweeps_without_a_certificate(named):
+    # standalone, nothing is certified: every pair is searched
+    result = check_WU(named["CH3"])
+    full = sweep_WU(named["CH3"])
+    assert dict(result.pushouts) == dict(full.pushouts)
+    assert dict(result.pullbacks) == dict(full.pullbacks)
+
+
+def test_failing_generator_pair_falls_back_to_the_sweep(named):
+    # IDEM passes (Base), (S-mult) and (T-mult); its generator e fails, and
+    # the failure list is the full sweep's
+    cert = named["IDEM"].certificate()
+    assert cert.passes(*WU_BY_GENERATORS)
+    assert cert.wu.failures == sweep_WU(named["IDEM"]).failures
+    assert cert.lines()[7] == "(WU) FAIL witness i=e f=e"
 
 
 def test_check_fac_examples(named):

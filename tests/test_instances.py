@@ -13,6 +13,7 @@ from catfrac.instances import (
     make_monoid,
     make_named,
     make_poset,
+    transformation_monoid,
 )
 from catfrac.three_arrows import fraction_equivalence
 
@@ -73,6 +74,36 @@ def test_z4_units():
 def test_idem_fails_exactly_wu():
     ok, cert = is_uni_fractionable(make_named("IDEM"))
     assert not ok and cert.failed_axioms() == ["(WU)"]
+
+
+def test_transformation_monoid_t3(tmp_path, capsys):
+    from catfrac.cli import run
+    from catfrac.fileio import dump
+
+    dd = transformation_monoid(3)
+    assert dd.base.n_morphisms == 27 and len(dd.iden) == 6
+    assert dd.base.identity_of("pt") == "012"
+    # "f then g" is x -> g(f(x)): the cycle 120 then the swap 102 fixes 0
+    assert dd.base.compose("120", "102") == "021"
+    path = str(tmp_path / "t3")
+    dump(as_instance(dd), path)
+    capsys.readouterr()
+    assert run(["check", path, "--suite", "all"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{axiom} PASS"
+        for axiom in ("(Base)", "(Cat)", "(2 of 3)", "(S-mult)", "(T-mult)",
+                      "(S<=D)", "(T<=D)", "(WU)", "(Fac)")
+    ] + [
+        "theorem PASS pairs=472878 divergences=0",
+        "coproducts-valid SKIP (no coproduct data)",
+        "products-valid SKIP (no product data)",
+    ]
+
+
+@pytest.mark.parametrize("n", [0, 10])
+def test_transformation_monoid_size_is_bounded(n):
+    with pytest.raises(DomainError, match="1 <= n <= 9"):
+        transformation_monoid(n)
 
 
 def test_planted_instances_fail_exactly_their_axiom():

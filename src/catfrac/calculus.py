@@ -60,6 +60,7 @@ from .three_arrows import (
     ThreeArrow,
     check_normal,
     check_three_arrow,
+    enumerate_three_arrows,
     identity_arrow,
     is_normal,
     source_of,
@@ -269,22 +270,16 @@ class _Rows(list):
 class GridRelations:
     """Top, Mid and Bot (module docstring) over one (source, target) block.
 
-    The block is enumerated from composition and membership in D alone,
-    in index order, and never from the fraction partition; ``index`` maps
-    each three-arrow to its position.  Each row is an ``int`` bitset
-    over the positions, built on first use and kept.
+    The block comes from :func:`enumerate_three_arrows`, which reads
+    composition and membership in D alone, in index order, and never the
+    fraction partition; ``index`` maps each three-arrow to its position.
+    Each row is an ``int`` bitset over the positions, built on first use
+    and kept.
     """
 
     def __init__(self, dd: DenominatorData, source: int, target: int):
         cat, den = dd.base, dd.iden
-        arrows = [
-            ThreeArrow(b, f, a)
-            for b in cat.by_tgt[source]
-            if b in den
-            for f in cat.by_src[cat.isrc[b]]
-            for a in cat.hom(target, cat.itgt[f])
-            if a in den
-        ]
+        arrows = enumerate_three_arrows(dd, (source, target))
         self.index = index = {t: k for k, t in enumerate(arrows)}
         op, op_index = cat.opposite(), {t[::-1]: k for t, k in index.items()}
         self.normal = 0

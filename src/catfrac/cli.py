@@ -23,10 +23,12 @@ from .fraction import (
 from .instances import NAMED, as_instance, from_instance, make_named
 from .three_arrows import (
     ThreeArrow,
+    block_partition,
     check_normal,
     fraction_equivalence,
     normalise,
     parse_three_arrow,
+    same_fraction,
     source_of,
     target_of,
 )
@@ -82,8 +84,7 @@ def cmd_equal(args) -> int:
     right = parse_three_arrow(dd, args.right)
     results = {}
     if args.method in ("oracle", "both"):
-        part = fraction_equivalence(dd)
-        results["oracle"] = part.same_class(left, right)
+        results["oracle"] = same_fraction(dd, left, right)
     if args.method in ("3x3", "both"):
         verdict, witness = equal_by_3x3(dd, left, right)
         results["3x3"] = verdict
@@ -102,9 +103,10 @@ def cmd_equal(args) -> int:
 def cmd_compose(args) -> int:
     _, dd = _load(args.file)
     require_uni_fractionable(dd)
-    part = fraction_equivalence(dd)
     left = parse_three_arrow(dd, args.left)
     right = parse_three_arrow(dd, args.right)
+    # [left][right] runs from the source of left to the target of right
+    part = block_partition(dd, source_of(dd, left), target_of(dd, right))
     gi = compose_fractions(dd, part, left, right, strict=(args.mode == "strict"))
     print(f"{part.class_ids[gi]}: {part.representative(gi).ids(dd)}")
     return 0

@@ -224,6 +224,8 @@ class FinCategory:
 def validate_category(cat: FinCategory) -> list[Violation]:
     """Exhaustively check the category laws; empty report iff valid.
 
+    Totality and endpoints are checked over the composable pairs; only
+    when that finds a defect does the scan of all pairs list every one.
     Once totality, endpoints and the identity laws hold, associativity is
     decided at a generating set of middles (Light's test); when that finds
     a violation, the full sweep lists every one.
@@ -236,6 +238,52 @@ def validate_category(cat: FinCategory) -> list[Violation]:
             report.append(
                 Violation("identity-endpoints", (cat.objects[x], cat.morphisms[e]))
             )
+    if not _table_is_lawful(cat):
+        report += _table_violations(cat)
+    if report:
+        # endpoint defects make the law sweeps unreliable; report them first
+        return report
+    for i in range(n):
+        e_s, e_t = cat.iidentity[cat.isrc[i]], cat.iidentity[cat.itgt[i]]
+        if cat.icomp[(e_s, i)] != i:
+            report.append(
+                Violation("left-identity", (cat.morphisms[e_s], cat.morphisms[i]))
+            )
+        if cat.icomp[(i, e_t)] != i:
+            report.append(
+                Violation("right-identity", (cat.morphisms[i], cat.morphisms[e_t]))
+            )
+    if not report and not associativity_violations(
+        cat, frozenset(generating_set(cat, range(n)))
+    ):
+        # Light's test [Clifford-Preston, 1.2]: the elements m with
+        # (x;m);y == x;(m;y) for all x, y are closed under composition, so
+        # associativity at a generating set of middles gives it everywhere
+        return report
+    report += associativity_violations(cat)
+    return report
+
+
+def _table_is_lawful(cat: FinCategory) -> bool:
+    """Whether every composable pair has a composite with lawful endpoints
+    and no other pair has one: the composable pairs are then all of the
+    table's entries, so counting them rules out a spurious one."""
+    comp, isrc, itgt = cat.icomp, cat.isrc, cat.itgt
+    composable = 0
+    for i in range(cat.n_morphisms):
+        for j in cat.by_src[itgt[i]]:
+            k = comp.get((i, j))
+            if k is None or isrc[k] != isrc[i] or itgt[k] != itgt[j]:
+                return False
+        composable += len(cat.by_src[itgt[i]])
+    return composable == len(comp)
+
+
+def _table_violations(cat: FinCategory) -> list[Violation]:
+    """Every missing, spurious or misplaced composite, scanning all n²
+    (i, j) pairs in index order."""
+    report: list[Violation] = []
+    n = cat.n_morphisms
     for i in range(n):
         for j in range(n):
             defined = (i, j) in cat.icomp
@@ -261,27 +309,6 @@ def validate_category(cat: FinCategory) -> list[Violation]:
                         "spurious-composite", (cat.morphisms[i], cat.morphisms[j])
                     )
                 )
-    if report:
-        # endpoint defects make the law sweeps unreliable; report them first
-        return report
-    for i in range(n):
-        e_s, e_t = cat.iidentity[cat.isrc[i]], cat.iidentity[cat.itgt[i]]
-        if cat.icomp[(e_s, i)] != i:
-            report.append(
-                Violation("left-identity", (cat.morphisms[e_s], cat.morphisms[i]))
-            )
-        if cat.icomp[(i, e_t)] != i:
-            report.append(
-                Violation("right-identity", (cat.morphisms[i], cat.morphisms[e_t]))
-            )
-    if not report and not associativity_violations(
-        cat, frozenset(generating_set(cat, range(n)))
-    ):
-        # Light's test [Clifford-Preston, 1.2]: the elements m with
-        # (x;m);y == x;(m;y) for all x, y are closed under composition, so
-        # associativity at a generating set of middles gives it everywhere
-        return report
-    report += associativity_violations(cat)
     return report
 
 

@@ -66,8 +66,15 @@ class DenominatorData:
         self.s_by_src = self._buckets(base.by_src, self.is_)
         self.d_by_src = self._buckets(base.by_src, self.iden)
         self._certificate: AxiomCertificate | None = None
+        # the generating set of D, found once by generating_denominators
+        self.generators: tuple[int, ...] | None = None
         # the fraction partition, built once by three_arrows.fraction_equivalence
         self.partition = None
+        # the partition per (source, target) block, built by
+        # three_arrows.block_partition, and the prefix tables of
+        # three_arrows.arrow_rank, both on first use
+        self.partition_blocks: dict = {}
+        self.arrow_ranks = None
         # grid relations per (source, target) block, built by
         # calculus.grid_relations on first use
         self.grid_relations: dict = {}
@@ -140,8 +147,8 @@ def is_multiplicative(dd: DenominatorData, which: str = "D"):
         if cat.iidentity[x] not in sub:
             return False, ("identity", cat.objects[x])
     for i in sorted(sub):
-        for j in sorted(sub):
-            if cat.composable(i, j) and cat.icomp[(i, j)] not in sub:
+        for j in cat.by_src[cat.itgt[i]]:
+            if j in sub and cat.icomp[(i, j)] not in sub:
                 return False, ("composition", cat.morphisms[i], cat.morphisms[j])
     return True, None
 
@@ -345,8 +352,10 @@ def completions(cat: FinCategory, members: frozenset[int], i: int, f: int):
 def generating_denominators(dd: DenominatorData) -> tuple[int, ...]:
     """A generating set of D's non-identity members under composition, in
     index order (:func:`catfrac.core.generating_set`).  Assumes (Base) and
-    (Cat)."""
-    return generating_set(dd.base, dd.iden)
+    (Cat).  Found once per structure and kept on it."""
+    if dd.generators is None:
+        dd.generators = generating_set(dd.base, dd.iden)
+    return dd.generators
 
 
 def factorisations(cat: FinCategory, x: int, firsts, seconds):

@@ -76,19 +76,67 @@ def identity_arrow(dd: DenominatorData, x: int) -> ThreeArrow:
     return ThreeArrow(e, e, e)
 
 
-def enumerate_three_arrows(dd: DenominatorData) -> list[ThreeArrow]:
-    """All (b, f, a) with b, a in D and matching endpoints, index order."""
-    cat = dd.base
-    out = []
-    for b in range(cat.n_morphisms):
-        if b not in dd.iden:
-            continue
-        for f in cat.by_src[cat.isrc[b]]:
-            for a in cat.by_tgt[cat.itgt[f]]:
-                if a in dd.iden:
-                    out.append(ThreeArrow(b, f, a))
-    out.sort()
-    return out
+def enumerate_three_arrows(
+    dd: DenominatorData, block: tuple[int, int] | None = None
+) -> list[ThreeArrow]:
+    """All (b, f, a) with b, a in D and matching endpoints, in index order;
+    with ``block`` = (source, target), only those from source to target."""
+    cat, den = dd.base, dd.iden
+    if block is None:
+        return [
+            ThreeArrow(b, f, a)
+            for b in dd.den_sorted
+            for f in cat.by_src[cat.isrc[b]]
+            for a in cat.by_tgt[cat.itgt[f]]
+            if a in den
+        ]
+    source, target = block
+    return [
+        ThreeArrow(b, f, a)
+        for b in cat.by_tgt[source]
+        if b in den
+        for f in cat.by_src[cat.isrc[b]]
+        for a in cat.hom(target, cat.itgt[f])
+        if a in den
+    ]
+
+
+def arrow_rank(dd: DenominatorData, t: ThreeArrow) -> int:
+    """Position of ``t`` among all three-arrows of ``dd`` in index order,
+    counted without enumerating them.
+
+    Three-arrows sort by b, then f, then a.  Those before (b, f, a) have a
+    smaller first leg (B[b]), or first leg b and a smaller middle f' out
+    of the same object (F[f]), or first legs (b, f) and a smaller last leg
+    a' into the same object (A[a]); so the position is B[b] + F[f] + A[a].
+    The three prefix tables are built on first use and kept on ``dd``.
+    """
+    if dd.arrow_ranks is None:
+        dd.arrow_ranks = _rank_tables(dd)
+    before_b, before_f, before_a = dd.arrow_ranks
+    return before_b[t.b] + before_f[t.f] + before_a[t.a]
+
+
+def _rank_tables(dd: DenominatorData) -> tuple[list[int], list[int], list[int]]:
+    cat, den = dd.base, dd.iden
+    n = cat.n_morphisms
+    # A: members of D into the same object before a; legs: all of them
+    before_a, legs = [0] * n, [0] * cat.n_objects
+    for a in dd.den_sorted:
+        before_a[a] = legs[cat.itgt[a]]
+        legs[cat.itgt[a]] += 1
+    # F: (f', a') with f' < f out of src f; per_b: all (f, a) out of an object
+    before_f, per_b = [0] * n, [0] * cat.n_objects
+    for x, middles in enumerate(cat.by_src):
+        for f in middles:
+            before_f[f] = per_b[x]
+            per_b[x] += legs[cat.itgt[f]]
+    before_b, run = [0] * n, 0
+    for b in range(n):
+        before_b[b] = run
+        if b in den:
+            run += per_b[cat.isrc[b]]
+    return before_b, before_f, before_a
 
 
 def fraction_generators(
@@ -118,15 +166,20 @@ def fraction_generators(
 
 
 class FractionPartition:
-    """Classes of three-arrows under fraction equality.
+    """Classes of three-arrows under fraction equality: of all of them, or
+    with ``block`` = (source, target) of the block from source to target.
+    Fraction equality relates only parallel three-arrows (every move keeps
+    tgt b and src a), so a block's classes are classes of the whole.
 
-    Class ids are "q" + index of the smallest member in enumeration
-    order, which keeps references stable across runs.  Raises AxiomError
-    unless the base is a category and D satisfies (Cat) and (2 of 3),
-    under which the generator moves span fraction equality.
+    Class ids are "q" + the position of the smallest member among all
+    three-arrows in enumeration order (:func:`arrow_rank`), which keeps
+    references stable across runs and equal between a block and the
+    whole.  Raises AxiomError unless the base is a category and D
+    satisfies (Cat) and (2 of 3), under which the generator moves span
+    fraction equality.
     """
 
-    def __init__(self, dd: DenominatorData):
+    def __init__(self, dd: DenominatorData, block: tuple[int, int] | None = None):
         failed = [
             name
             for name in dd.certificate().failed_axioms()
@@ -134,17 +187,16 @@ class FractionPartition:
         ]
         if failed:
             raise AxiomError(failed)
-        self.arrows = enumerate_three_arrows(dd)
-        self.arrow_index = {t: i for i, t in enumerate(self.arrows)}
+        self.arrows = enumerate_three_arrows(dd, block)
+        self.arrow_index = index = {t: i for i, t in enumerate(self.arrows)}
         ds = DisjointSet(len(self.arrows))
         for t1, t2 in fraction_generators(dd, self.arrows):
-            ds.union(self.arrow_index[t1], self.arrow_index[t2])
+            ds.union(index[t1], index[t2])
         self.groups = ds.groups()
         self.class_of_arrow = {}
         self.class_ids = []
         for gi, group in enumerate(self.groups):
-            cid = f"q{group[0]}"
-            self.class_ids.append(cid)
+            self.class_ids.append(f"q{arrow_rank(dd, self.arrows[group[0]])}")
             for member in group:
                 self.class_of_arrow[member] = gi
         self._id_to_group = {cid: gi for gi, cid in enumerate(self.class_ids)}
@@ -182,6 +234,26 @@ def fraction_equivalence(dd: DenominatorData) -> FractionPartition:
     if dd.partition is None:
         dd.partition = FractionPartition(dd)
     return dd.partition
+
+
+def block_partition(dd: DenominatorData, source: int, target: int) -> FractionPartition:
+    """The partition of the (source, target) block of ``dd``, built on
+    first use and kept on ``dd`` like :func:`fraction_equivalence`."""
+    part = dd.partition_blocks.get((source, target))
+    if part is None:
+        part = dd.partition_blocks[(source, target)] = FractionPartition(
+            dd, (source, target)
+        )
+    return part
+
+
+def same_fraction(dd: DenominatorData, t1: ThreeArrow, t2: ThreeArrow) -> bool:
+    """Whether [t1] == [t2], from the partition of their block alone;
+    three-arrows that are not parallel are never equal."""
+    ends = (source_of(dd, t1), target_of(dd, t1))
+    if ends != (source_of(dd, t2), target_of(dd, t2)):
+        return False
+    return block_partition(dd, *ends).same_class(t1, t2)
 
 
 def is_denominator_class(

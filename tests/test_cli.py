@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from catfrac import cli, fileio
+from catfrac import cli, fileio, three_arrows
 from catfrac.cli import run
 from catfrac.core import DomainError
 from catfrac.instances import as_instance, chain, from_instance, make_named
@@ -118,6 +118,60 @@ def test_requests_free_their_structures_by_refcount(
     assert len(refs) == len(requests)
     assert alive == [False] * 6
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "name, equal, compose, blocks",
+    [
+        ("CH3", ("i_1,m_1_2,i_2", "m_0_1,m_0_2,i_2"),
+         ("i_0,m_0_1,i_1", "i_1,m_1_2,i_2"), [(1, 2), (0, 2)]),
+        ("Z4", ("1,2,1", "3,2,1"), ("1,2,1", "3,2,1"), [(0, 0), (0, 0)]),
+    ],
+)
+def test_equal_and_compose_build_one_block(
+    name, equal, compose, blocks, tmp_path, monkeypatch, capsys
+):
+    path = str(tmp_path / name)
+    assert run(["instance", name, "-o", path]) == 0
+    structures, built = [], []
+    init = three_arrows.FractionPartition.__init__
+
+    def capture(inst):
+        structures.append(from_instance(inst))
+        return structures[-1]
+
+    def counted(self, dd, block=None):
+        built.append(block)
+        init(self, dd, block)
+
+    monkeypatch.setattr(cli, "from_instance", capture)
+    monkeypatch.setattr(three_arrows.FractionPartition, "__init__", counted)
+    for argv in (
+        ["equal", path, "--left", equal[0], "--right", equal[1], "--method", "both"],
+        ["compose", path, "--left", compose[0], "--right", compose[1]],
+    ):
+        assert run(argv) == 0
+    # each request builds the block it reads, and never the whole partition
+    assert built == blocks
+    for dd, block in zip(structures, blocks):
+        assert dd.partition is None
+        assert list(dd.partition_blocks) == [block]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "method, status, out, err",
+    [
+        ("oracle", 0, "not equal\n", ""),
+        ("3x3", 1, "", "error: inputs are not parallel\n"),
+        ("both", 1, "", "error: inputs are not parallel\n"),
+    ],
+)
+def test_equal_on_non_parallel_inputs(method, status, out, err, ch3_file, capsys):
+    argv = ["equal", ch3_file, "--left", "i_1,m_1_2,i_2", "--right",
+            "i_0,m_0_2,i_2", "--method", method]
+    assert run(argv) == status
+    assert capsys.readouterr() == (out, err)
 
 
 def test_parser_is_built_once_and_keeps_no_arguments(ch3_file, capsys):

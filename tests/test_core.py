@@ -58,6 +58,35 @@ def test_missing_composite_reported():
     assert codes == {"missing-composite"}
 
 
+def table_defects(cat):
+    """CH3-hand variants with one defect each that only the scan of all
+    pairs can list: a spurious composite, a missing one, both, and a
+    misplaced one."""
+    mi = cat.mor_index
+    spurious = (mi["m_1_2"], mi["m_0_1"])
+    missing = (mi["m_0_1"], mi["m_1_2"])
+    yield {**cat.icomp, spurious: mi["m_0_2"]}
+    yield {k: v for k, v in cat.icomp.items() if k != missing}
+    yield {k: v for k, v in cat.icomp.items() if k != missing} | {spurious: mi["i_1"]}
+    yield {**cat.icomp, missing: mi["m_0_1"]}
+
+
+def test_spurious_and_missing_composites_report_as_the_full_scan():
+    codes = []
+    for table in table_defects(hand_built_ch3()):
+        cat = hand_built_ch3()
+        cat.icomp = table
+        report = validate_category(cat)
+        assert report == reference_validate_category(cat)
+        codes.append([v.code for v in report])
+    assert codes == [
+        ["spurious-composite"],
+        ["missing-composite"],
+        ["missing-composite", "spurious-composite"],
+        ["composite-endpoints"],
+    ]
+
+
 def test_broken_associativity_names_the_triple():
     cat = make_named("Z4").base
     # reroute 2;3 (= 2) to 1: then (2;3);3 = 3 but 2;(3;3) = 2

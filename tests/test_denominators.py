@@ -31,6 +31,43 @@ LADDER_RANK = {"none": 0, "multiplicative": 1, "semi-saturated": 2,
                "weakly-saturated": 3}
 
 
+def reference_is_multiplicative(dd, which):
+    """(identities + closure under composition) by the sweep over every
+    pair of members, in index order."""
+    cat, sub = dd.base, dd.subset(which)
+    for x in range(cat.n_objects):
+        if cat.iidentity[x] not in sub:
+            return False, ("identity", cat.objects[x])
+    for i in sorted(sub):
+        for j in sorted(sub):
+            if cat.composable(i, j) and cat.icomp[(i, j)] not in sub:
+                return False, ("composition", cat.morphisms[i], cat.morphisms[j])
+    return True, None
+
+
+def test_multiplicative_walk_matches_the_pair_sweep():
+    rng = random.Random(5)
+    structures = certificate_ladder() + [
+        chain(3, "identities"), chain(5, "identities"), zmod(8)
+    ]
+    failing = 0
+    for dd in structures:
+        cat = dd.base
+        identities = {cat.morphisms[e] for e in cat.iidentity}
+        subsets = [
+            identities | {f for f in cat.morphisms if rng.random() < 0.4}
+            for _ in range(4)
+        ]
+        for ids in subsets:
+            sub = DenominatorData(cat, sorted(ids, key=cat.mor_index.get))
+            got = is_multiplicative(sub, "D")
+            assert got == reference_is_multiplicative(sub, "D")
+            failing += not got[0]
+        for which in "DST":
+            assert is_multiplicative(dd, which) == reference_is_multiplicative(dd, which)
+    assert failing > 20
+
+
 def test_multiplicative_examples():
     assert is_multiplicative(make_named("CH3"), "D")[0]
     assert is_multiplicative(make_named("WALK"), "D")[0]

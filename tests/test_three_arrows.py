@@ -7,6 +7,8 @@ from catfrac.instances import chain, diamond, make_named, make_poset
 from catfrac.three_arrows import (
     FractionPartition,
     ThreeArrow,
+    arrow_rank,
+    block_partition,
     common_denominator,
     enumerate_three_arrows,
     fraction_equivalence,
@@ -16,6 +18,7 @@ from catfrac.three_arrows import (
     is_normal,
     normalise,
     parse_three_arrow,
+    same_fraction,
     source_of,
     target_of,
 )
@@ -24,6 +27,7 @@ from conftest import (
     POSITIVE,
     all_leg_moves,
     bfs_partition,
+    certificate_ladder,
     one_step_generators,
     zmod,
 )
@@ -141,13 +145,56 @@ def test_two_sided_matches_one_step_closure(name, named):
 def test_partition_enumerates_once(named, monkeypatch):
     calls = []
 
-    def counted(dd):
-        calls.append(dd)
-        return enumerate_three_arrows(dd)
+    def counted(dd, block=None):
+        calls.append(block)
+        return enumerate_three_arrows(dd, block)
 
     monkeypatch.setattr(three_arrows, "enumerate_three_arrows", counted)
     FractionPartition(named["DIA"])
-    assert len(calls) == 1
+    FractionPartition(named["DIA"], (0, 3))
+    assert calls == [None, (0, 3)]
+
+
+def blocks(dd):
+    """The three-arrows of ``dd`` by (source, target), in index order."""
+    out = {}
+    for t in enumerate_three_arrows(dd):
+        out.setdefault((source_of(dd, t), target_of(dd, t)), []).append(t)
+    return out
+
+
+@pytest.mark.parametrize("dd", certificate_ladder(), ids=lambda dd: dd.name)
+def test_block_partitions_equal_the_whole(dd):
+    if {"(Base)", "(Cat)", "(2 of 3)"} & set(dd.certificate().failed_axioms()):
+        with pytest.raises(AxiomError):
+            block_partition(dd, 0, 0)
+        return
+    whole = fraction_equivalence(dd)
+    for (source, target), arrows in blocks(dd).items():
+        part = block_partition(dd, source, target)
+        assert block_partition(dd, source, target) is part
+        assert part.arrows == arrows
+        for t in arrows:
+            assert part.class_id(t) == whole.class_id(t)
+            assert part.representative(part.class_index(t)) == whole.representative(
+                whole.class_index(t)
+            )
+    assert sum(len(part) for part in dd.partition_blocks.values()) == len(whole)
+
+
+@pytest.mark.parametrize("dd", certificate_ladder(), ids=lambda dd: dd.name)
+def test_rank_is_the_enumeration_position(dd):
+    for k, t in enumerate(enumerate_three_arrows(dd)):
+        assert arrow_rank(dd, t) == k
+
+
+def test_same_fraction_reads_one_block():
+    dd = make_named("CH3")
+    left = parse_three_arrow(dd, "i_1,m_1_2,i_2")
+    assert same_fraction(dd, left, parse_three_arrow(dd, "m_0_1,m_0_2,i_2"))
+    assert not same_fraction(dd, left, parse_three_arrow(dd, "i_0,m_0_2,i_2"))
+    assert list(dd.partition_blocks) == [(1, 2)]
+    assert dd.partition is None
 
 
 @pytest.mark.parametrize("name", POSITIVE)

@@ -52,15 +52,16 @@ of the 12-deep search.  ``equal_by_3x3`` decides that way and runs
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .core import DomainError, FinCategory
 from .denominators import DenominatorData, factorisations
 from .three_arrows import (
     ThreeArrow,
+    block_arrows,
     check_normal,
     check_three_arrow,
-    enumerate_three_arrows,
     identity_arrow,
     is_normal,
     source_of,
@@ -253,33 +254,19 @@ def _into_row(cat: FinCategory, den, index: dict, into, t: tuple) -> int:
     return row
 
 
-class _Rows(list):
-    """One relation's rows by block position, each built on first use."""
-
-    def __init__(self, size: int, build):
-        super().__init__([None] * size)
-        self._build = build
-
-    def row(self, k: int) -> int:
-        row = self[k]
-        if row is None:
-            row = self[k] = self._build(k)
-        return row
-
-
 class GridRelations:
     """Top, Mid and Bot (module docstring) over one (source, target) block.
 
-    The block comes from :func:`enumerate_three_arrows`, which reads
-    composition and membership in D alone, in index order, and never the
-    fraction partition; ``index`` maps each three-arrow to its position.
-    Each row is an ``int`` bitset over the positions, built on first use
-    and kept.
+    The block comes from :func:`block_arrows`, which reads composition
+    and membership in D alone, in index order, and never the fraction
+    partition; ``index`` maps each three-arrow to its position.  Each row
+    is an ``int`` bitset over the positions; ``top(k)``, ``mid(k)`` and
+    ``bot(k)`` build row k on first use and keep it.
     """
 
     def __init__(self, dd: DenominatorData, source: int, target: int):
         cat, den = dd.base, dd.iden
-        arrows = enumerate_three_arrows(dd, (source, target))
+        arrows = block_arrows(dd, (source, target))
         self.index = index = {t: k for k, t in enumerate(arrows)}
         op, op_index = cat.opposite(), {t[::-1]: k for t, k in index.items()}
         self.normal = 0
@@ -289,15 +276,17 @@ class GridRelations:
         t_by_tgt, d_by_src, s_by_src = dd.t_by_tgt, dd.d_by_src, dd.s_by_src
         # Top[t1] = {m1 : m1 ->_T t1}; the out-rows Mid[m1] = {m2 : m1 ->_D m2}
         # and Bot[t2] = {m2 : t2 ->_S m2} are in-rows of the opposite
-        n = len(arrows)
-        self.top = _Rows(n, lambda k: _into_row(cat, den, index, t_by_tgt, arrows[k]))
-        self.mid = _Rows(
-            n, lambda k: _into_row(op, den, op_index, d_by_src, arrows[k][::-1])
+        self.top = functools.cache(
+            lambda k: _into_row(cat, den, index, t_by_tgt, arrows[k])
         )
-        self.bot = _Rows(
-            n, lambda k: _into_row(op, den, op_index, s_by_src, arrows[k][::-1])
+        self.mid = functools.cache(
+            lambda k: _into_row(op, den, op_index, d_by_src, arrows[k][::-1])
+        )
+        self.bot = functools.cache(
+            lambda k: _into_row(op, den, op_index, s_by_src, arrows[k][::-1])
         )
         # the union of Mid over Top[t1], by normal_middles, then by t1
+        n = len(arrows)
         self._reach = ([None] * n, [None] * n)
 
     def grid_exists(
@@ -311,15 +300,15 @@ class GridRelations:
         t1 is one intersection; a sweep stops at its first meeting.
         """
         k1 = self.index[t1]
-        bot = self.bot.row(self.index[t2])
+        bot = self.bot(self.index[t2])
         reached = self._reach[normal_middles]
         reach = reached[k1]
         if reach is None:
             mask = self.normal if normal_middles else -1
-            rest, reach = self.top.row(k1) & mask, 0
+            rest, reach = self.top(k1) & mask, 0
             while rest:
                 low = rest & -rest
-                reach |= self.mid.row(low.bit_length() - 1) & mask
+                reach |= self.mid(low.bit_length() - 1) & mask
                 if reach & bot:
                     return True
                 rest ^= low
@@ -330,10 +319,7 @@ class GridRelations:
 def grid_relations(dd: DenominatorData, source: int, target: int) -> GridRelations:
     """The relations of the (source, target) block of ``dd``, built once
     and kept on ``dd``, so they live exactly as long as the structure."""
-    rel = dd.grid_relations.get((source, target))
-    if rel is None:
-        rel = dd.grid_relations[(source, target)] = GridRelations(dd, source, target)
-    return rel
+    return dd.keep(("grid", source, target), GridRelations, dd, source, target)
 
 
 def equal_by_3x3(

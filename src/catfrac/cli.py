@@ -274,7 +274,7 @@ def run(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (DomainError, AxiomError, FileNotFoundError) as exc:
+    except (DomainError, AxiomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

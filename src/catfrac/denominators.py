@@ -31,8 +31,9 @@ class DenominatorData:
 
     Construction resolves ids only; every axiom is checked by the
     functions below, never assumed, so defective structures can be
-    represented and reported on.  The axiom certificate is computed on
-    first use and then reused (written once, read-only afterwards).
+    represented and reported on.  The axiom certificate and every other
+    derived structure is computed on first use and then reused (written
+    once, read-only afterwards; :meth:`keep`).
     """
 
     def __init__(
@@ -65,19 +66,8 @@ class DenominatorData:
         self.t_by_tgt = self._buckets(base.by_tgt, self.it)
         self.s_by_src = self._buckets(base.by_src, self.is_)
         self.d_by_src = self._buckets(base.by_src, self.iden)
-        self._certificate: AxiomCertificate | None = None
-        # the generating set of D, found once by generating_denominators
-        self.generators: tuple[int, ...] | None = None
-        # the fraction partition, built once by three_arrows.fraction_equivalence
-        self.partition = None
-        # the partition per (source, target) block, built by
-        # three_arrows.block_partition, and the prefix tables of
-        # three_arrows.arrow_rank, both on first use
-        self.partition_blocks: dict = {}
-        self.arrow_ranks = None
-        # grid relations per (source, target) block, built by
-        # calculus.grid_relations on first use
-        self.grid_relations: dict = {}
+        # structures derived from (base, D, S, T), by key; see keep
+        self.derived: dict = {}
 
     @staticmethod
     def _buckets(by_end, members) -> tuple[tuple[int, ...], ...]:
@@ -108,11 +98,20 @@ class DenominatorData:
             self.name,
         )
 
+    def keep(self, key, build, *args):
+        """``build(*args)`` on the first request for ``key``, kept in
+        :attr:`derived` and returned unchanged by every later request, so
+        it lives exactly as long as the structure.  Every structure derived
+        from (base, D, S, T) is kept here, and only here."""
+        try:
+            return self.derived[key]
+        except KeyError:
+            value = self.derived[key] = build(*args)
+            return value
+
     def certificate(self) -> "AxiomCertificate":
         """Axiom report incl. witness caches; computed once, then reused."""
-        if self._certificate is None:
-            self._certificate = check_uni_fractionable(self)
-        return self._certificate
+        return self.keep("certificate", check_uni_fractionable, self)
 
 
 @dataclass(frozen=True)
@@ -353,9 +352,7 @@ def generating_denominators(dd: DenominatorData) -> tuple[int, ...]:
     """A generating set of D's non-identity members under composition, in
     index order (:func:`catfrac.core.generating_set`).  Assumes (Base) and
     (Cat).  Found once per structure and kept on it."""
-    if dd.generators is None:
-        dd.generators = generating_set(dd.base, dd.iden)
-    return dd.generators
+    return dd.keep("generators", generating_set, dd.base, dd.iden)
 
 
 def factorisations(cat: FinCategory, x: int, firsts, seconds):

@@ -222,7 +222,13 @@ def loads(text: str, where: str = "<string>") -> Instance:
 
 def load(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as handle:
-        return loads(handle.read(), where=path)
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
+    return loads(text, where=path)
 
 
 def dumps(inst: Instance) -> str:

@@ -136,10 +136,13 @@ def build_fraction_category(dd: DenominatorData) -> FractionCategory:
     n = len(part)
     src = {}
     tgt = {}
+    # classes by source object, in class order: the composable partners
+    by_source: list[list[int]] = [[] for _ in range(cat.n_objects)]
     for gi in range(n):
         rep = part.representative(gi)
         src[part.class_ids[gi]] = cat.objects[source_of(dd, rep)]
         tgt[part.class_ids[gi]] = cat.objects[target_of(dd, rep)]
+        by_source[source_of(dd, rep)].append(gi)
     identity = {
         cat.objects[x]: part.class_ids[part.class_index(identity_arrow(dd, x))]
         for x in range(cat.n_objects)
@@ -147,10 +150,8 @@ def build_fraction_category(dd: DenominatorData) -> FractionCategory:
     comp: dict[tuple[str, str], str] = {}
     for g1 in range(n):
         rep1 = part.representative(g1)
-        for g2 in range(n):
+        for g2 in by_source[target_of(dd, rep1)]:
             rep2 = part.representative(g2)
-            if target_of(dd, rep1) != source_of(dd, rep2):
-                continue
             g = compose_fractions(dd, part, rep1, rep2, strict=True)
             comp[(part.class_ids[g1], part.class_ids[g2])] = part.class_ids[g]
     # the fraction category only depends on (base, D), so it is named after

@@ -101,6 +101,14 @@ def enumerate_three_arrows(
     ]
 
 
+def block_arrows(
+    dd: DenominatorData, block: tuple[int, int] | None = None
+) -> list[ThreeArrow]:
+    """:func:`enumerate_three_arrows` of ``block``, enumerated once and kept
+    on ``dd``; the partition and the grid relations of a block share it."""
+    return dd.keep(("arrows", block), enumerate_three_arrows, dd, block)
+
+
 def arrow_rank(dd: DenominatorData, t: ThreeArrow) -> int:
     """Position of ``t`` among all three-arrows of ``dd`` in index order,
     counted without enumerating them.
@@ -111,9 +119,7 @@ def arrow_rank(dd: DenominatorData, t: ThreeArrow) -> int:
     a' into the same object (A[a]); so the position is B[b] + F[f] + A[a].
     The three prefix tables are built on first use and kept on ``dd``.
     """
-    if dd.arrow_ranks is None:
-        dd.arrow_ranks = _rank_tables(dd)
-    before_b, before_f, before_a = dd.arrow_ranks
+    before_b, before_f, before_a = dd.keep("ranks", _rank_tables, dd)
     return before_b[t.b] + before_f[t.f] + before_a[t.a]
 
 
@@ -187,7 +193,7 @@ class FractionPartition:
         ]
         if failed:
             raise AxiomError(failed)
-        self.arrows = enumerate_three_arrows(dd, block)
+        self.arrows = block_arrows(dd, block)
         self.arrow_index = index = {t: i for i, t in enumerate(self.arrows)}
         ds = DisjointSet(len(self.arrows))
         for t1, t2 in fraction_generators(dd, self.arrows):
@@ -231,20 +237,14 @@ class FractionPartition:
 def fraction_equivalence(dd: DenominatorData) -> FractionPartition:
     """The partition of the three-arrows of ``dd``, built once and kept on
     ``dd``, so it lives exactly as long as the structure."""
-    if dd.partition is None:
-        dd.partition = FractionPartition(dd)
-    return dd.partition
+    return dd.keep(("partition", None), FractionPartition, dd)
 
 
 def block_partition(dd: DenominatorData, source: int, target: int) -> FractionPartition:
     """The partition of the (source, target) block of ``dd``, built on
     first use and kept on ``dd`` like :func:`fraction_equivalence`."""
-    part = dd.partition_blocks.get((source, target))
-    if part is None:
-        part = dd.partition_blocks[(source, target)] = FractionPartition(
-            dd, (source, target)
-        )
-    return part
+    block = (source, target)
+    return dd.keep(("partition", block), FractionPartition, dd, block)
 
 
 def same_fraction(dd: DenominatorData, t1: ThreeArrow, t2: ThreeArrow) -> bool:

@@ -200,11 +200,7 @@ def _preservation_sweep(
             for phi1 in fr.hom(fr.obj_index[x1], y):
                 for phi2 in fr.hom(fr.obj_index[x2], y):
                     ids = (x1, x2, fr.morphisms[phi1], fr.morphisms[phi2])
-                    mediators = [
-                        u
-                        for u in fr.hom(c, y)
-                        if fr.icomp[(le1, u)] == phi1 and fr.icomp[(le2, u)] == phi2
-                    ]
+                    mediators = _unique_mediators(fr, c, le1, le2, phi1, phi2)
                     if len(mediators) != 1:
                         report.append(Violation("fraction-coproduct", ids))
                         continue
@@ -336,12 +332,14 @@ def sum_formula_check(fc: FractionCategory, add: AdditionTables) -> list[Violati
         raise DomainError(f"addition tables invalid: {bad[0]}")
     report: list[Violation] = []
     part = fc.partition
-    arrows = part.arrows
+    # the three-arrows by outer legs (b, a), in enumeration order: each is
+    # paired only with those sharing both its legs
+    by_legs: dict[tuple[int, int], list[ThreeArrow]] = {}
+    for t in part.arrows:
+        by_legs.setdefault((t.b, t.a), []).append(t)
     class_sum: dict[tuple[int, int], int] = {}
-    for t1 in arrows:
-        for t2 in arrows:
-            if t1.b != t2.b or t1.a != t2.a:
-                continue
+    for t1 in part.arrows:
+        for t2 in by_legs[(t1.b, t1.a)]:
             f_plus_g = cat.mor_index[
                 add.plus[(cat.morphisms[t1.f], cat.morphisms[t2.f])]
             ]

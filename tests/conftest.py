@@ -51,6 +51,15 @@ def z2_shell():
     return dd, add
 
 
+def block_partitions(dd):
+    """The (source, target) blocks whose fraction partition ``dd`` keeps, in
+    the order they were built; the whole partition is not among them."""
+    return [
+        key[1] for key in dd.derived
+        if isinstance(key, tuple) and key[0] == "partition" and key[1] is not None
+    ]
+
+
 def poset_addition(dd):
     """The only addition a poset carries: each hom-set is its own zero."""
     cat = dd.base

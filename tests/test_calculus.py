@@ -166,7 +166,7 @@ def test_caches_die_with_their_structure():
     assert fraction_equivalence(dd) is part
     t = part.arrows[0]
     assert equal_by_3x3(dd, t, t)[0]
-    (rel,) = dd.grid_relations.values()
+    (rel,) = [v for key, v in dd.derived.items() if key[:1] == ("grid",)]
     assert grid_relations(dd, source_of(dd, t), target_of(dd, t)) is rel
     refs = (weakref.ref(dd), weakref.ref(dd.base), weakref.ref(rel))
     del dd, part, t, rel

@@ -15,10 +15,11 @@ from hypothesis import given, settings, strategies as st
 from catfrac import cli, fileio, three_arrows
 from catfrac.cli import run
 from catfrac.core import DomainError
+from catfrac.denominators import DenominatorData
 from catfrac.instances import as_instance, chain, from_instance, make_named
 from catfrac.three_arrows import ThreeArrow, check_normal
 
-from conftest import POSITIVE, poset_addition
+from conftest import POSITIVE, block_partitions, poset_addition
 
 
 @pytest.fixture()
@@ -154,9 +155,61 @@ def test_equal_and_compose_build_one_block(
     # each request builds the block it reads, and never the whole partition
     assert built == blocks
     for dd, block in zip(structures, blocks):
-        assert dd.partition is None
-        assert list(dd.partition_blocks) == [block]
+        assert ("partition", None) not in dd.derived
+        assert block_partitions(dd) == [block]
     capsys.readouterr()
+
+
+def test_each_derived_structure_is_built_once(ch3_file, tmp_path, monkeypatch, capsys):
+    structures, builds = [], []
+    keep = DenominatorData.keep
+
+    def capture(inst):
+        structures.append(from_instance(inst))
+        return structures[-1]
+
+    def counted(self, key, build, *args):
+        def counting(*built_from):
+            builds.append((self, key))
+            return build(*built_from)
+
+        return keep(self, key, counting, *args)
+
+    monkeypatch.setattr(cli, "from_instance", capture)
+    monkeypatch.setattr(DenominatorData, "keep", counted)
+    shared = ["certificate", "generators", "ranks"]
+    requests = (
+        (["equal", ch3_file, "--left", "i_1,m_1_2,i_2", "--right", "m_0_1,m_0_2,i_2",
+          "--method", "both"],
+         shared + [("arrows", (1, 2)), ("partition", (1, 2)), ("grid", 1, 2)]),
+        (["compose", ch3_file, "--left", "i_0,m_0_1,i_1", "--right", "i_1,m_1_2,i_2"],
+         shared + [("arrows", (0, 2)), ("partition", (0, 2))]),
+        (["localise", ch3_file, "-o", str(tmp_path / "fr")],
+         shared + [("arrows", None), ("partition", None)]),
+    )
+    for argv, keys in requests:
+        assert run(argv) == 0
+        dd = structures[-1]
+        built = [key for owner, key in builds if owner is dd]
+        assert sorted(built, key=repr) == sorted(keys, key=repr)
+        assert sorted(dd.derived, key=repr) == sorted(keys, key=repr)
+    capsys.readouterr()
+
+
+def test_equal_both_enumerates_its_block_once(ch3_file, monkeypatch, capsys):
+    calls = []
+    enumerate_three_arrows = three_arrows.enumerate_three_arrows
+
+    def counted(dd, block=None):
+        calls.append(block)
+        return enumerate_three_arrows(dd, block)
+
+    monkeypatch.setattr(three_arrows, "enumerate_three_arrows", counted)
+    argv = ["equal", ch3_file, "--left", "i_1,m_1_2,i_2", "--right",
+            "m_0_1,m_0_2,i_2", "--method", "both"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "equal\n"
+    assert calls == [(1, 2)]
 
 
 @pytest.mark.parametrize(
@@ -429,6 +482,23 @@ def test_unknown_ids_exit_one(ch3_file, capsys):
 
 def test_missing_file_exit_one(capsys):
     assert run(["axioms", "/nonexistent/file"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "{dir}"], "Is a directory"),
+        (["instance", "CH3", "-o", "{dir}"], "Is a directory"),
+        (["validate", "{dir}/latin1.json"], "latin1.json: not UTF-8 text"),
+    ],
+)
+def test_bad_paths_are_one_error_line(argv, message, tmp_path, capsys):
+    (tmp_path / "latin1.json").write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+    assert run([arg.format(dir=tmp_path) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
 
 
 def test_usage_error_exit_two(capsys):

@@ -43,3 +43,57 @@ def test_unread_import_is_caught(tmp_path):
     module = tmp_path / "m.py"
     module.write_text("import os\nfrom sys import argv, path\n\nprint(path)\n")
     assert unread_imports(module) == ["m.py:1: os", "m.py:2: argv"]
+
+
+
+def writes_to_dd(path: Path) -> list[str]:
+    """Assignments to an attribute of ``dd``, or to an item of one.
+
+    ``DenominatorData.keep`` is the one owner of the structures derived
+    from (C, D, S, T); a module setting ``dd.x`` or ``dd.x[k]`` bypasses it.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for leaf in (leaf for target in targets for leaf in ast.walk(target)):
+            if not isinstance(getattr(leaf, "ctx", None), ast.Store):
+                continue
+            while isinstance(leaf, ast.Subscript):
+                leaf = leaf.value
+            if (
+                isinstance(leaf, ast.Attribute)
+                and isinstance(leaf.value, ast.Name)
+                and leaf.value.id == "dd"
+            ):
+                found.append(f"{path.name}:{node.lineno}: dd.{leaf.attr}")
+    return found
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_module_writes_derived_structures_onto_dd(path):
+    assert writes_to_dd(path) == []
+
+
+def test_write_to_dd_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "dd.partition = 1\n"
+        "dd.blocks[(0, 1)] = 2\n"
+        "dd.ranks, other = 3, 4\n"
+        "dd.count += 1\n"
+        "dd.derived[0][1] = 5\n"
+        "self.partition = dd.partition\n"
+        "value = dd.blocks[0]\n"
+    )
+    assert writes_to_dd(module) == [
+        "m.py:1: dd.partition", "m.py:2: dd.blocks", "m.py:3: dd.ranks",
+        "m.py:4: dd.count", "m.py:5: dd.derived",
+    ]

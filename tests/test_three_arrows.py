@@ -27,6 +27,7 @@ from conftest import (
     POSITIVE,
     all_leg_moves,
     bfs_partition,
+    block_partitions,
     certificate_ladder,
     one_step_generators,
     zmod,
@@ -142,7 +143,7 @@ def test_two_sided_matches_one_step_closure(name, named):
     assert fraction_equivalence(dd).groups == bfs_partition(dd, one_step_generators)
 
 
-def test_partition_enumerates_once(named, monkeypatch):
+def test_partition_enumerates_once(monkeypatch):
     calls = []
 
     def counted(dd, block=None):
@@ -150,8 +151,10 @@ def test_partition_enumerates_once(named, monkeypatch):
         return enumerate_three_arrows(dd, block)
 
     monkeypatch.setattr(three_arrows, "enumerate_three_arrows", counted)
-    FractionPartition(named["DIA"])
-    FractionPartition(named["DIA"], (0, 3))
+    # a fresh structure: the session's DIA keeps the arrows it enumerated
+    dd = make_named("DIA")
+    FractionPartition(dd)
+    FractionPartition(dd, (0, 3))
     assert calls == [None, (0, 3)]
 
 
@@ -179,7 +182,9 @@ def test_block_partitions_equal_the_whole(dd):
             assert part.representative(part.class_index(t)) == whole.representative(
                 whole.class_index(t)
             )
-    assert sum(len(part) for part in dd.partition_blocks.values()) == len(whole)
+    assert sum(
+        len(dd.derived[("partition", block)]) for block in block_partitions(dd)
+    ) == len(whole)
 
 
 @pytest.mark.parametrize("dd", certificate_ladder(), ids=lambda dd: dd.name)
@@ -193,8 +198,8 @@ def test_same_fraction_reads_one_block():
     left = parse_three_arrow(dd, "i_1,m_1_2,i_2")
     assert same_fraction(dd, left, parse_three_arrow(dd, "m_0_1,m_0_2,i_2"))
     assert not same_fraction(dd, left, parse_three_arrow(dd, "i_0,m_0_2,i_2"))
-    assert list(dd.partition_blocks) == [(1, 2)]
-    assert dd.partition is None
+    assert block_partitions(dd) == [(1, 2)]
+    assert ("partition", None) not in dd.derived
 
 
 @pytest.mark.parametrize("name", POSITIVE)

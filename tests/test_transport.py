@@ -1,9 +1,13 @@
+from types import SimpleNamespace
+
 import pytest
 
 from catfrac.core import DomainError, Violation
 from catfrac.fileio import AdditionTables, CoproductData
 from catfrac.fraction import build_fraction_category
 from catfrac.instances import (
+    chain,
+    make_named,
     make_poset,
     poset_coproducts,
     poset_products,
@@ -22,7 +26,7 @@ from catfrac.transport import (
     validate_products,
 )
 
-from conftest import z2_shell
+from conftest import poset_addition, z2_shell, zmod
 
 
 @pytest.mark.parametrize("name", ("CH3", "DIA"))
@@ -162,6 +166,81 @@ def test_sum_formula_on_the_shell():
     assert part.class_index(ThreeArrow(mi["u"], mi[twice], mi["u"])) == (
         part.class_index(tz)
     )
+
+
+def all_pairs_sum_check(fc, add):
+    """The transported-addition sweep over every ordered pair of
+    three-arrows, kept as the reference for :func:`sum_formula_check`."""
+    dd, cat, part = fc.dd, fc.dd.base, fc.partition
+    report, class_sum = [], {}
+    for t1 in part.arrows:
+        for t2 in part.arrows:
+            if t1.b != t2.b or t1.a != t2.a:
+                continue
+            f_plus_g = cat.mor_index[
+                add.plus[(cat.morphisms[t1.f], cat.morphisms[t2.f])]
+            ]
+            total = part.class_index(ThreeArrow(t1.b, f_plus_g, t1.a))
+            key = (part.class_index(t1), part.class_index(t2))
+            if key in class_sum and class_sum[key] != total:
+                report.append(
+                    Violation(
+                        "sum-not-well-defined",
+                        (t1.ids(dd), t2.ids(dd), part.class_ids[total]),
+                    )
+                )
+            class_sum[key] = total
+    return report
+
+
+def ring_addition(n):
+    """Addition mod n on :func:`conftest.zmod`, which multiplies mod n."""
+    return AdditionTables(
+        zero={("pt", "pt"): "0"},
+        plus={(str(a), str(b)): str((a + b) % n) for a in range(n) for b in range(n)},
+    )
+
+
+class MergedPartition:
+    """The classes of ``part`` merged in pairs (class gi into gi // 2): a
+    coarsening that addition need not respect."""
+
+    def __init__(self, part):
+        self.part, self.arrows = part, part.arrows
+        self.class_ids = [f"m{k}" for k in range((len(part) + 1) // 2)]
+
+    def class_index(self, t):
+        return self.part.class_index(t) // 2
+
+
+def additive_structures():
+    yield z2_shell()
+    for n in range(1, 6):
+        dd = chain(n)
+        yield dd, poset_addition(dd)
+    dd = make_named("DIA")
+    yield dd, poset_addition(dd)
+    yield zmod(4), ring_addition(4)
+
+
+@pytest.mark.parametrize(
+    "dd, add", [pytest.param(dd, add, id=dd.name) for dd, add in additive_structures()]
+)
+def test_sum_formula_matches_the_all_pairs_sweep(dd, add):
+    fc = build_fraction_category(dd)
+    assert sum_formula_check(fc, add) == all_pairs_sum_check(fc, add) == []
+    # a coarsened partition that addition does not respect: the reports,
+    # in order, are the sweep's
+    planted = SimpleNamespace(dd=dd, partition=MergedPartition(fc.partition))
+    assert sum_formula_check(planted, add) == all_pairs_sum_check(planted, add)
+
+
+def test_planted_coarsening_breaks_the_sum():
+    dd, add = zmod(4), ring_addition(4)
+    fc = build_fraction_category(dd)
+    planted = SimpleNamespace(dd=dd, partition=MergedPartition(fc.partition))
+    report = sum_formula_check(planted, add)
+    assert report and {v.code for v in report} == {"sum-not-well-defined"}
 
 
 def test_sum_formula_vacuous_on_empty_category():

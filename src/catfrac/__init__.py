@@ -13,6 +13,7 @@ from .core import (
     DomainError,
     FinCategory,
     FunctorTable,
+    InvariantError,
     validate_category,
     validate_functor,
 )

@@ -55,7 +55,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .core import DomainError, FinCategory
+from .core import DomainError, FinCategory, InvariantError
 from .denominators import DenominatorData, factorisations
 from .three_arrows import (
     ThreeArrow,
@@ -347,7 +347,7 @@ def equal_by_3x3(
         middles_in_D=True, rows_normal=normal_middles,
     )
     if bridge is None:
-        raise AssertionError(
+        raise InvariantError(
             f"grid relations admit a grid for {t1.ids(dd)} and {t2.ids(dd)} "
             "that the witness search does not find"
         )
@@ -444,7 +444,7 @@ def flip(dd: DenominatorData, hypothesis: dict) -> BridgeWitness:
     right = ThreeArrow(cat.iidentity[cat.isrc[t1.a]], g2, i2)
     bridge = find_bridge(dd, t1, t2, left, right)
     if bridge is None:
-        raise AssertionError("no grid completion on a certified structure")
+        raise InvariantError("no grid completion on a certified structure")
     bridge.validate(dd)
     return bridge
 
@@ -505,7 +505,7 @@ def factorisation_square(
             for j, q in factorisations(cat, ei, dd.s_sorted, dd.t_sorted):
                 for h in _square_mediators(cat, fi, gi, i, p, j, q):
                     return FactorisationSquare(ms[i], ms[p], ms[j], ms[q], ms[h])
-        raise AssertionError("no factorisation square on a certified structure")
+        raise InvariantError("no factorisation square on a certified structure")
     if given not in ("left", "right"):
         raise DomainError(f"unknown mode {given!r}")
     if supplied is None:
@@ -560,4 +560,4 @@ def _refinement(cat: FinCategory, s_pool, t_pool, f: int, g: int, i: int,
         j = cat.icomp[(j0, k)]
         for h in _square_mediators(cat, f, g, i, p, j, q2):
             return j, q2, h, k
-    raise AssertionError("no refinement square on a certified structure")
+    raise InvariantError("no refinement square on a certified structure")

@@ -1,18 +1,20 @@
 """Command-line surface.
 
-Exit status: 0 on success, 1 on a domain or validation failure, 2 on a
-usage error.  All reports are stable, line-oriented key/value text; the
-same strings the test-suite parses.
+Exit status: 0 on success, 1 on a domain or validation failure (one
+``error:`` line) or a broken internal invariant (one ``DIVERGENCE`` line),
+2 on a usage error.  All reports are stable, line-oriented key/value
+text; the same strings the test-suite parses.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from . import fileio
-from .core import DomainError, validate_category
+from .core import DomainError, InvariantError, validate_category
 from .denominators import AxiomError, require_uni_fractionable
 from .fraction import (
     build_fraction_category,
@@ -66,7 +68,17 @@ def cmd_axioms(args) -> int:
 def cmd_localise(args) -> int:
     _, dd = _load(args.file)
     fc = build_fraction_category(dd)
-    fileio.dump(fraction_instance(fc), args.output)
+    # --dot is opened (appending, so nothing is lost) before -o is written
+    # and written after it: a bad path of either kind leaves no new file
+    new_dot = args.dot and not os.path.exists(args.dot)
+    if args.dot:
+        open(args.dot, "a", encoding="utf-8").close()
+    try:
+        fileio.dump(fraction_instance(fc), args.output)
+    except OSError:
+        if new_dot:
+            os.remove(args.dot)
+        raise
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(fraction_dot(fc))
@@ -276,6 +288,9 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (DomainError, AxiomError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except InvariantError as exc:
+        print(f"DIVERGENCE {exc}", file=sys.stderr)
         return 1
 
 

@@ -21,6 +21,10 @@ class DomainError(ValueError):
     """A precondition on ids or endpoints was violated."""
 
 
+class InvariantError(RuntimeError):
+    """Two of the library's own routes disagree on a certified structure."""
+
+
 @dataclass(frozen=True)
 class Violation:
     """One broken invariant, with the offending ids."""

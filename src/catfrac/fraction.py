@@ -17,14 +17,14 @@ from .core import (
     DomainError,
     FinCategory,
     FunctorTable,
+    InvariantError,
     find_inverse,
+    isomorphisms,
     validate_functor,
 )
 from .denominators import (
     DenominatorData,
     factorisations,
-    is_multiplicative,
-    is_two_of_six,
     require_uni_fractionable,
 )
 from .fileio import Instance
@@ -62,7 +62,7 @@ def lax_composite(
     """Index-smallest composite via arbitrary commuting denominator squares."""
     for t in lax_composites_all(dd, t1, t2):
         return t
-    raise AssertionError("no commuting completion on a certified structure")
+    raise InvariantError("no commuting completion on a certified structure")
 
 
 def lax_composites_all(dd: DenominatorData, t1: ThreeArrow, t2: ThreeArrow):
@@ -179,21 +179,13 @@ def build_fraction_category(dd: DenominatorData) -> FractionCategory:
 
 
 def inverse_of_denominator(fc: FractionCategory, d: str) -> str:
-    """Class of (d, 1, 1); checked equal to (1, 1, d) and two-sided inverse
-    of the localised morphism."""
+    """Class of (d, 1, 1), the two-sided inverse of the localised ``d``."""
     dd, cat = fc.dd, fc.dd.base
     i = cat.mor_index[d]
     if i not in dd.iden:
         raise DomainError(f"{d!r} is not a denominator")
-    e_src, e_tgt = cat.iidentity[cat.isrc[i]], cat.iidentity[cat.itgt[i]]
-    left = fc.partition.class_id(ThreeArrow(i, e_src, e_src))
-    right = fc.partition.class_id(ThreeArrow(e_tgt, e_tgt, i))
-    assert left == right, "the two inverse spellings drifted apart"
-    loc = fc.localisation.mor_map[d]
-    fr = fc.as_category
-    assert fr.compose(loc, left) == fr.identity_of(cat.src_of(d))
-    assert fr.compose(left, loc) == fr.identity_of(cat.tgt_of(d))
-    return left
+    e_src = cat.iidentity[cat.isrc[i]]
+    return fc.partition.class_id(ThreeArrow(i, e_src, e_src))
 
 
 def invert_class(fc: FractionCategory, t: ThreeArrow) -> str:
@@ -210,17 +202,7 @@ def invert_class(fc: FractionCategory, t: ThreeArrow) -> str:
     fac = cert.fac.witnesses[t.f]
     bc, d1c = cert.wu.pushouts[(fac.i, t.b)].completion
     ac, d2c = cert.wu.pullbacks[(fac.p, t.a)].completion
-    inv = ThreeArrow(d2c, cat.icomp[(ac, bc)], d1c)
-    cid = fc.partition.class_id(inv)
-    own = fc.class_id(t)
-    fr = fc.as_category
-    assert fr.compose(own, cid) == fr.identity_of(
-        cat.objects[source_of(dd, t)]
-    )
-    assert fr.compose(cid, own) == fr.identity_of(
-        cat.objects[target_of(dd, t)]
-    )
-    return cid
+    return fc.partition.class_id(ThreeArrow(d2c, cat.icomp[(ac, bc)], d1c))
 
 
 def _target_inverse(target: FinCategory, f: str) -> str:
@@ -230,18 +212,21 @@ def _target_inverse(target: FinCategory, f: str) -> str:
     return inv
 
 
-def induced_functor(fc: FractionCategory, fun: FunctorTable) -> FunctorTable:
-    """The unique functor out of the fraction category extending ``fun``.
-
-    On a class of (b, f, a) the value is F(b)^-1 F(f) F(a)^-1 computed in
-    the target; representative-independence and factorisation through the
-    localisation are asserted.
-    """
-    dd = fc.dd
+def _require_inverting(dd: DenominatorData, fun: FunctorTable) -> None:
     if validate_functor(fun):
         raise DomainError("input is not a functor")
     for d in dd.den_sorted:
         _target_inverse(fun.target, fun.mor_map[dd.base.morphisms[d]])
+
+
+def induced_functor(fc: FractionCategory, fun: FunctorTable) -> FunctorTable:
+    """The unique functor out of the fraction category extending ``fun``.
+
+    On a class of (b, f, a) the value is F(b)^-1 F(f) F(a)^-1 computed in
+    the target, read off the class representative.
+    """
+    dd = fc.dd
+    _require_inverting(dd, fun)
     tgt = fun.target
 
     def value(t: ThreeArrow) -> str:
@@ -250,21 +235,16 @@ def induced_functor(fc: FractionCategory, fun: FunctorTable) -> FunctorTable:
         fa_inv = _target_inverse(tgt, fun.mor_map[m[t.a]])
         return tgt.compose(tgt.compose(fb_inv, fun.mor_map[m[t.f]]), fa_inv)
 
-    mor_map = {}
-    for gi, cid in enumerate(fc.partition.class_ids):
-        images = {value(t) for t in fc.partition.members(gi)}
-        assert len(images) == 1, f"class {cid} has representative-dependent image"
-        mor_map[cid] = images.pop()
-    hat = FunctorTable(
+    part = fc.partition
+    return FunctorTable(
         fc.as_category,
         tgt,
         {x: fun.obj_map[x] for x in fc.as_category.objects},
-        mor_map,
+        {
+            cid: value(part.representative(gi))
+            for gi, cid in enumerate(part.class_ids)
+        },
     )
-    assert not validate_functor(hat)
-    comp = fc.localisation.compose_with(hat)
-    assert comp.obj_map == fun.obj_map and comp.mor_map == fun.mor_map
-    return hat
 
 
 def induced_transformation(
@@ -276,7 +256,7 @@ def induced_transformation(
     """Lift a transformation along the localisation: same components.
 
     ``alpha`` maps each base object to a target morphism F X -> G X;
-    naturality is required on the base and asserted against every class.
+    both functors must invert D, and ``alpha`` must be natural on the base.
     """
     dd, tgt = fc.dd, fun_f.target
     cat = dd.base
@@ -285,16 +265,9 @@ def induced_transformation(
         rhs = tgt.compose(alpha[cat.src_of(f)], fun_g.mor_map[f])
         if lhs != rhs:
             raise DomainError(f"input transformation not natural at {f!r}")
-    hat_f = induced_functor(fc, fun_f)
-    hat_g = induced_functor(fc, fun_g)
-    hat = dict(alpha)
-    fr = fc.as_category
-    for cid in fr.morphisms:
-        x, y = fr.src_of(cid), fr.tgt_of(cid)
-        assert tgt.compose(hat_f.mor_map[cid], hat[y]) == tgt.compose(
-            hat[x], hat_g.mor_map[cid]
-        ), f"lifted transformation not natural at {cid}"
-    return hat
+    _require_inverting(dd, fun_f)
+    _require_inverting(dd, fun_g)
+    return dict(alpha)
 
 
 def induced_functor_on_fractions(
@@ -302,8 +275,8 @@ def induced_functor_on_fractions(
 ) -> FunctorTable:
     """Componentwise image functor between fraction categories.
 
-    Requires ``fun`` to preserve denominators; asserts representative
-    independence, functoriality and compatibility with both localisations.
+    Requires ``fun`` to preserve denominators; each class goes to the
+    class of its representative's image.
     """
     dsrc, dtgt = fc_src.dd, fc_tgt.dd
     if validate_functor(fun):
@@ -321,62 +294,39 @@ def induced_functor_on_fractions(
             mi[fun.mor_map[msrc[t.a]]],
         )
 
-    mor_map = {}
-    for gi, cid in enumerate(fc_src.partition.class_ids):
-        images = {fc_tgt.class_id(image(t)) for t in fc_src.partition.members(gi)}
-        assert len(images) == 1, f"class {cid} has representative-dependent image"
-        mor_map[cid] = images.pop()
-    fr_fun = FunctorTable(
+    part = fc_src.partition
+    return FunctorTable(
         fc_src.as_category,
         fc_tgt.as_category,
         {x: fun.obj_map[x] for x in fc_src.as_category.objects},
-        mor_map,
+        {
+            cid: fc_tgt.class_id(image(part.representative(gi)))
+            for gi, cid in enumerate(part.class_ids)
+        },
     )
-    assert not validate_functor(fr_fun)
-    lhs = fun.compose_with(fc_tgt.localisation)
-    rhs = fc_src.localisation.compose_with(fr_fun)
-    assert lhs.obj_map == rhs.obj_map and lhs.mor_map == rhs.mor_map
-    return fr_fun
 
 
 def classify_isomorphisms(fc: FractionCategory) -> set[str]:
     """Invertible classes, straight from the composition table.
 
-    On a weakly saturated base this must coincide with the classes whose
-    middle is a denominator, which is asserted.
+    On a weakly saturated base these are the classes whose middle is a
+    denominator.
     """
-    from .core import isomorphisms
-
-    isos = isomorphisms(fc.as_category)
-    dd = fc.dd
-    if is_multiplicative(dd, "D")[0] and is_two_of_six(dd)[0]:
-        by_middle = {
-            fc.partition.class_ids[gi]
-            for gi in range(len(fc.partition))
-            if fc.partition.representative(gi).f in dd.iden
-        }
-        assert isos == by_middle, "isomorphisms differ from denominator-middles"
-    return isos
+    return isomorphisms(fc.as_category)
 
 
 def is_saturated(fc: FractionCategory) -> bool:
     """Whether every base morphism with invertible image lies in D.
 
-    Cross-checked against the ladder: for a certified structure this is
-    equivalent to weak saturation.
+    For a certified structure this is equivalent to weak saturation.
     """
-    from .core import isomorphisms
-
     dd = fc.dd
     isos = isomorphisms(fc.as_category)
-    saturated = all(
+    return all(
         fc.localisation.mor_map[f] not in isos
         or dd.base.mor_index[f] in dd.iden
         for f in dd.base.morphisms
     )
-    ladder = is_multiplicative(dd, "D")[0] and is_two_of_six(dd)[0]
-    assert saturated == ladder, "saturation disagrees with weak saturation"
-    return saturated
 
 
 def st_independence_check(dd1: DenominatorData, dd2: DenominatorData) -> bool:
@@ -416,8 +366,6 @@ def full_subcategory(dd: DenominatorData, objects: list[str]) -> DenominatorData
             if cat.tgt_of(f) == cat.src_of(g)
         },
     )
-    assert all(cat.compose(f, g) in keep_set for f in keep for g in keep
-               if cat.tgt_of(f) == cat.src_of(g))
     mor = cat.morphisms
     return DenominatorData(
         sub,
@@ -530,8 +478,6 @@ def subcategory_equivalence(
                 full = False
             if len(set(images)) != len(images):
                 faithful = False
-    from .core import isomorphisms
-
     isos = isomorphisms(fr_all)
     dense = True
     for x in fr_all.objects:
@@ -555,8 +501,6 @@ def fraction_instance(fc: FractionCategory) -> Instance:
     valid structure.  ``classes`` lists every member of each class and
     ``localisation`` maps base morphisms to their classes.
     """
-    from .core import isomorphisms
-
     isos = sorted(
         isomorphisms(fc.as_category), key=lambda c: fc.as_category.mor_index[c]
     )

@@ -26,7 +26,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import DomainError
-from .denominators import AxiomError, DenominatorData, generating_denominators
+from .denominators import (
+    AxiomError,
+    DenominatorData,
+    generating_denominators,
+    require_uni_fractionable,
+)
 from .unionfind import DisjointSet
 
 
@@ -274,18 +279,16 @@ def normalise(dd: DenominatorData, t: ThreeArrow) -> ThreeArrow:
 
     All four steps read the certificate's witnesses, so the output is
     deterministic; only its class, not its spelling, is the contract.
+    Raises AxiomError unless the structure is uni-fractionable.
     """
-    cert = dd.certificate()
+    cert = require_uni_fractionable(dd)
     check_three_arrow(dd, t)
     cat = dd.base
-    try:
-        fac_b = cert.fac.witnesses[t.b]
-        f1, i1 = cert.wu.pushouts[(fac_b.i, t.f)].completion
-        ai1 = cat.icomp[(t.a, i1)]
-        fac_ai = cert.fac.witnesses[ai1]
-        f2, q1 = cert.wu.pullbacks[(fac_ai.p, f1)].completion
-    except KeyError as exc:  # cannot happen once the certificate is ok
-        raise AssertionError(f"witness cache miss: {exc}") from exc
+    fac_b = cert.fac.witnesses[t.b]
+    f1, i1 = cert.wu.pushouts[(fac_b.i, t.f)].completion
+    ai1 = cat.icomp[(t.a, i1)]
+    fac_ai = cert.fac.witnesses[ai1]
+    f2, q1 = cert.wu.pullbacks[(fac_ai.p, f1)].completion
     return ThreeArrow(cat.icomp[(q1, fac_b.p)], f2, fac_ai.i)
 
 
@@ -324,14 +327,11 @@ def common_denominator(
         # complete the two T-legs over their common target; the witness for
         # key (n2.b, n1.b) satisfies comp(cf, n2.b) == comp(cp, n1.b), cp in T
         cf, cp = cert.wu.pullbacks[(n2.b, n1.b)].completion
-        b1, b2 = cat.icomp[(cp, n1.b)], cat.icomp[(cf, n2.b)]
-        if b1 != b2:  # cannot happen once the certificate is ok
-            raise AssertionError(f"pullback witness does not commute: {b1} != {b2}")
+        b1 = b2 = cat.icomp[(cp, n1.b)]
         f1, f2 = cat.icomp[(cp, f1)], cat.icomp[(cf, f2)]
     if share_i:
+        # dually, comp(n1.a, i2c) == comp(n2.a, i1c) with i1c in S
         i2c, i1c = cert.wu.pushouts[(n1.a, n2.a)].completion
-        a1, a2 = cat.icomp[(n1.a, i2c)], cat.icomp[(n2.a, i1c)]
-        if a1 != a2:  # cannot happen once the certificate is ok
-            raise AssertionError(f"pushout witness does not commute: {a1} != {a2}")
+        a1 = a2 = cat.icomp[(n1.a, i2c)]
         f1, f2 = cat.icomp[(f1, i2c)], cat.icomp[(f2, i1c)]
     return ThreeArrow(b1, f1, a1), ThreeArrow(b2, f2, a2)

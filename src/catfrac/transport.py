@@ -128,32 +128,14 @@ def product_of_morphisms(cat: FinCategory, pd: CoproductData, d: int, e: int) ->
 def denominators_closed_under_coproducts(
     dd: DenominatorData, cp: CoproductData
 ) -> tuple[bool, tuple[str, str] | None]:
-    """Closure of D under morphism coproducts.
-
-    Decided directly over D x D, and again by the shortcut (S x S and
-    T x T suffice, since d + e factors through i + j followed by p + q);
-    the two routes must agree.
-    """
+    """Closure of D under morphism coproducts, decided over D x D; the
+    witness is the first pair in index order whose coproduct leaves D."""
     cat = dd.base
-    direct, witness = True, None
     for d in dd.den_sorted:
         for e in dd.den_sorted:
             if coproduct_of_morphisms(cat, cp, d, e) not in dd.iden:
-                direct, witness = False, (cat.morphisms[d], cat.morphisms[e])
-                break
-        if not direct:
-            break
-    shortcut = all(
-        coproduct_of_morphisms(cat, cp, i, j) in dd.iden
-        for i in dd.s_sorted
-        for j in dd.s_sorted
-    ) and all(
-        coproduct_of_morphisms(cat, cp, p, q) in dd.iden
-        for p in dd.t_sorted
-        for q in dd.t_sorted
-    )
-    assert direct == shortcut, "closure routes disagree"
-    return direct, witness
+                return False, (cat.morphisms[d], cat.morphisms[e])
+    return True, None
 
 
 def denominators_closed_under_products(
@@ -232,7 +214,6 @@ def check_localisation_preserves_coproducts(
 
     def formula(t1: ThreeArrow, t2: ThreeArrow) -> ThreeArrow:
         s1, s2 = common_denominator(dd, t1, t2, "target")
-        assert s1.a == s2.a
         bsum = coproduct_of_morphisms(cat, cp, s1.b, s2.b)
         middle = coproduct_induced(
             cat, cp, cat.objects[cat.isrc[s1.f]], cat.objects[cat.isrc[s2.f]],
@@ -262,7 +243,6 @@ def check_localisation_preserves_products(
 
     def formula(t1: ThreeArrow, t2: ThreeArrow) -> ThreeArrow:
         s1, s2 = common_denominator(dd, t1, t2, "source")
-        assert s1.b == s2.b
         asum = product_of_morphisms(cat, pd, s1.a, s2.a)
         middle = product_induced(
             cat, pd, cat.objects[cat.itgt[s1.f]], cat.objects[cat.itgt[s2.f]],

@@ -1,3 +1,4 @@
+import functools
 from collections import defaultdict, deque
 from math import gcd
 
@@ -6,6 +7,7 @@ import pytest
 from catfrac.core import Violation
 from catfrac.denominators import completions, factorisations
 from catfrac.fileio import AdditionTables
+from catfrac.fraction import build_fraction_category
 from catfrac.instances import (
     NAMED,
     chain,
@@ -16,6 +18,16 @@ from catfrac.instances import (
 from catfrac.three_arrows import ThreeArrow, enumerate_three_arrows, fraction_generators
 
 POSITIVE = ("WALK", "CH3", "DIA", "DIA-B", "PAR", "Z4")
+# the structures the theorem cross-checks run over, every class, member
+# and pair of each: the positive named instances and chain(2..6)
+CROSS_CHECK = POSITIVE + tuple(f"chain{n}" for n in range(2, 7))
+
+
+@functools.cache
+def cross_check_fc(name):
+    """The fraction category of a CROSS_CHECK structure, built once."""
+    dd = chain(int(name[5:])) if name.startswith("chain") else make_named(name)
+    return build_fraction_category(dd)
 
 
 def zmod(n):

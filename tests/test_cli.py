@@ -270,27 +270,48 @@ def test_parser_is_built_once_and_keeps_no_arguments(ch3_file, capsys):
     assert "theorem PASS" in forward[6][1] and "theorem" not in forward[2][1]
 
 
-def test_optimised_mode_answers_through_on_demand_witnesses(ch3_file, capsys):
-    # `python -O` strips assert statements; equal, compose and the transport
-    # suite (through common_denominator) answer as in-process, from
-    # witnesses looked up on demand
+def test_optimised_mode_answers_through_on_demand_witnesses(ch3_file, tmp_path, capsys):
+    # the library reads no assert and no __debug__, so under `python -O`
+    # equal, compose, every suite (transport through common_denominator)
+    # and localise answer as in-process, from witnesses looked up on demand
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+
+    def optimised(argv):
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "catfrac", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    dia_file = str(tmp_path / "dia")
+    assert run(["instance", "DIA", "-o", dia_file]) == 0
     pair = ["--left", "i_1,m_1_2,i_2", "--right", "m_0_1,m_0_2,i_2"]
     for argv in (
         ["equal", ch3_file, *pair, "--method", "both"],
         ["compose", ch3_file, "--left", "i_0,m_0_1,i_1", "--right", "i_1,m_1_2,i_2"],
         ["compose", ch3_file, "--left", "m_0_1,m_0_2,i_2", "--right", "i_2,i_2,i_2"],
-        ["check", ch3_file, "--suite", "transport"],
+        ["check", ch3_file, "--suite", "all"],
+        ["check", dia_file, "--suite", "all"],
     ):
+        capsys.readouterr()
         assert run(argv) == 0
         expected = capsys.readouterr().out
-        done = subprocess.run(
-            [sys.executable, "-O", "-m", "catfrac", *argv],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+        assert optimised(argv) == (0, expected, "")
     assert "coproducts-preserved PASS" in expected
+    for source in (ch3_file, dia_file):
+        written = {}
+        for mode in ("in-process", "optimised"):
+            out = tmp_path / mode
+            argv = ["localise", source, "-o", str(out), "--dot", f"{out}.dot"]
+            if mode == "in-process":
+                capsys.readouterr()
+                assert run(argv) == 0
+                expected = capsys.readouterr().out.replace("in-process", "optimised")
+            else:
+                assert optimised(argv) == (0, expected, "")
+            written[mode] = (out.read_bytes(), (tmp_path / f"{mode}.dot").read_bytes())
+        assert written["optimised"] == written["in-process"]
 
 
 def test_equal_not_equal_is_still_success(tmp_path, capsys):
@@ -472,6 +493,34 @@ def test_dot_export(ch3_file, tmp_path):
     text = dot.read_text()
     assert text.startswith('digraph "Fr(CH3)"')
     assert text.count("->") == 7
+
+
+@pytest.mark.parametrize("bad", ("output", "dot"))
+def test_localise_with_a_bad_path_writes_neither_file(bad, ch3_file, tmp_path, capsys):
+    paths = {"output": tmp_path / "fr.json", "dot": tmp_path / "fr.dot"}
+    paths[bad] = tmp_path / "missing" / "x"
+    argv = ["localise", ch3_file, "-o", str(paths["output"])]
+    argv += ["--dot", str(paths["dot"])]
+    capsys.readouterr()
+    assert run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{paths[bad]}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ch3"]
+
+
+def test_broken_invariant_is_one_divergence_line(ch3_file, monkeypatch, capsys):
+    # the grid relations admit a grid that the witness search then misses
+    monkeypatch.setattr("catfrac.calculus.find_bridge", lambda *args, **kw: None)
+    argv = ["equal", ch3_file, "--left", "i_1,m_1_2,i_2", "--right", "m_0_1,m_0_2,i_2"]
+    capsys.readouterr()
+    assert run([*argv, "--method", "3x3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "DIVERGENCE grid relations admit a grid for i_1,m_1_2,i_2 and "
+        "m_0_1,m_0_2,i_2 that the witness search does not find\n"
+    )
 
 
 def test_unknown_ids_exit_one(ch3_file, capsys):

@@ -1,14 +1,22 @@
+import itertools
+
 import pytest
 
 from catfrac.core import (
     DomainError,
     FunctorTable,
+    find_inverse,
     identity_functor,
     isomorphisms,
     validate_category,
     validate_functor,
 )
-from catfrac.denominators import AxiomError, DenominatorData
+from catfrac.denominators import (
+    AxiomError,
+    DenominatorData,
+    is_multiplicative,
+    is_two_of_six,
+)
 from catfrac.fileio import dumps
 from catfrac.fraction import (
     build_fraction_category,
@@ -34,7 +42,7 @@ from catfrac.three_arrows import (
     target_of,
 )
 
-from conftest import POSITIVE, strict_composites_all
+from conftest import CROSS_CHECK, POSITIVE, cross_check_fc, strict_composites_all
 
 
 def arrow(dd, b, f, a):
@@ -193,12 +201,98 @@ def test_inverse_requires_denominator(built):
         inverse_of_denominator(built["CH3"], "m_1_2")
 
 
-def test_every_denominator_has_the_two_spellings_of_inverse(built):
+def composite(cat, f, g):
+    """f then g from the table, or None when the pair is not composable."""
+    k = cat.icomp.get((cat.mor_index[f], cat.mor_index[g]))
+    return None if k is None else cat.morphisms[k]
+
+
+def is_two_sided_inverse(cat, f, g):
+    return (
+        composite(cat, f, g) == cat.identity_of(cat.src_of(f))
+        and composite(cat, g, f) == cat.identity_of(cat.tgt_of(f))
+    )
+
+
+def invertible(cat):
+    """The morphisms of ``cat`` with an inverse, trying every morphism."""
+    return {
+        f for f in cat.morphisms
+        if any(is_two_sided_inverse(cat, f, g) for g in cat.morphisms)
+    }
+
+
+def weakly_saturated(dd):
+    return is_multiplicative(dd, "D")[0] and is_two_of_six(dd)[0]
+
+
+def inverse_problems(fc, inverse=inverse_of_denominator):
+    """For every denominator d: ``inverse`` gives [d/1/1], which equals
+    [1/1/d] and is a two-sided inverse of L(d)."""
+    cat, problems = fc.dd.base, []
+    for d in fc.dd.den_sorted:
+        name = cat.morphisms[d]
+        inv = inverse(fc, name)
+        e_src, e_tgt = cat.iidentity[cat.isrc[d]], cat.iidentity[cat.itgt[d]]
+        spellings = {
+            fc.class_id(ThreeArrow(d, e_src, e_src)),
+            fc.class_id(ThreeArrow(e_tgt, e_tgt, d)),
+        }
+        if spellings != {inv}:
+            problems.append(f"{name}: {inv} is not both of {sorted(spellings)}")
+        loc = fc.localisation.mor_map[name]
+        if not is_two_sided_inverse(fc.as_category, loc, inv):
+            problems.append(f"{name}: {inv} does not invert {loc}")
+    return problems
+
+
+def test_every_denominator_has_the_two_spellings_of_inverse():
     # [d/1/1] == [1/1/d], and both invert L(d)
-    for name in POSITIVE:
-        fc = built[name]
-        for d in fc.dd.den_sorted:
-            inverse_of_denominator(fc, fc.dd.base.morphisms[d])
+    for name in CROSS_CHECK:
+        assert inverse_problems(cross_check_fc(name)) == [], name
+
+
+def test_planted_wrong_inverse_is_caught():
+    # the identity of the target in place of the inverse of L(m_0_1)
+    fc = cross_check_fc("CH3")
+    problems = inverse_problems(
+        fc, lambda fc, d: fc.as_category.identity_of(fc.dd.base.tgt_of(d))
+    )
+    assert problems == [
+        f"m_0_1: {fc.as_category.identity_of('1')} is not both of "
+        f"{[inverse_of_denominator(fc, 'm_0_1')]}",
+        f"m_0_1: {fc.as_category.identity_of('1')} does not invert "
+        f"{fc.localisation.mor_map['m_0_1']}",
+    ]
+
+
+def invert_class_problems(fc, invert=invert_class):
+    """For every three-arrow t with a denominator middle, ``invert`` gives
+    a two-sided inverse of [t]."""
+    problems = []
+    for t in fc.partition.arrows:
+        if t.f in fc.dd.iden:
+            own, inv = fc.class_id(t), invert(fc, t)
+            if not is_two_sided_inverse(fc.as_category, own, inv):
+                problems.append(f"{t.ids(fc.dd)}: {inv} does not invert {own}")
+    return problems
+
+
+@pytest.mark.parametrize("name", CROSS_CHECK)
+def test_invert_class_is_a_two_sided_inverse(name):
+    assert invert_class_problems(cross_check_fc(name)) == []
+
+
+def test_planted_wrong_inverse_class_is_caught():
+    # the class itself in place of its inverse: wrong off the identities
+    fc = cross_check_fc("CH3")
+    problems = invert_class_problems(fc, lambda fc, t: fc.class_id(t))
+    identities = {fc.as_category.identity_of(x) for x in fc.as_category.objects}
+    expected = [
+        t for t in fc.partition.arrows
+        if t.f in fc.dd.iden and fc.class_id(t) not in identities
+    ]
+    assert len(problems) == len(expected) > 0
 
 
 def test_invert_class_examples(built):
@@ -457,6 +551,226 @@ def test_induced_functor_on_fractions_requires_preservation(built):
         induced_functor_on_fractions(shift, ch3, ch3)
 
 
+def functors_inverting_d(fc):
+    """The localisation, and the functor onto the terminal category."""
+    base = fc.dd.base
+    point = make_monoid(["1"], [["1"]], ["1"], name="T1").base
+    to_point = FunctorTable(
+        base, point, {x: "pt" for x in base.objects}, {f: "1" for f in base.morphisms}
+    )
+    return [fc.localisation, to_point]
+
+
+def induced_functor_problems(fc, fun, induce=induced_functor):
+    """The result of ``induce`` is a functor, gives every member of every
+    class the value F(b)^-1 F(f) F(a)^-1 of its class, and composed after
+    the localisation is ``fun``."""
+    hat = induce(fc, fun)
+    tgt, m = fun.target, fc.dd.base.morphisms
+    problems = [str(v) for v in validate_functor(hat)]
+    for gi, cid in enumerate(fc.partition.class_ids):
+        for t in fc.partition.members(gi):
+            fb_inv = find_inverse(tgt, fun.mor_map[m[t.b]])
+            fa_inv = find_inverse(tgt, fun.mor_map[m[t.a]])
+            value = tgt.compose(tgt.compose(fb_inv, fun.mor_map[m[t.f]]), fa_inv)
+            if value != hat.mor_map[cid]:
+                problems.append(f"{t.ids(fc.dd)}: {value}, not {hat.mor_map[cid]}")
+    back = fc.localisation.compose_with(hat)
+    if (back.obj_map, back.mor_map) != (fun.obj_map, fun.mor_map):
+        problems.append("does not factor through the localisation")
+    return problems
+
+
+@pytest.mark.parametrize("name", CROSS_CHECK)
+def test_induced_functor_is_independent_of_the_representative(name):
+    fc = cross_check_fc(name)
+    for fun in functors_inverting_d(fc):
+        assert induced_functor_problems(fc, fun) == []
+
+
+def with_wrong_image(table, cid):
+    """A copy of ``table`` sending class ``cid`` to another morphism."""
+    mor_map = dict(table.mor_map)
+    mor_map[cid] = next(c for c in table.target.morphisms if c != mor_map[cid])
+    return FunctorTable(table.source, table.target, dict(table.obj_map), mor_map)
+
+
+def test_planted_wrong_image_is_caught():
+    # Z4: the class of 2, whose members are (u, 2, v) for units u, v, is
+    # sent to the class of 0 (still a functor: 0 and 2 square to 0)
+    fc = cross_check_fc("Z4")
+    two = fc.localisation.mor_map["2"]
+    problems = induced_functor_problems(
+        fc, fc.localisation,
+        lambda fc, fun: with_wrong_image(induced_functor(fc, fun), two),
+    )
+    members = fc.partition.members(fc.partition.group_of_id(two))
+    assert len(members) == 4
+    assert problems == [
+        f"{t.ids(fc.dd)}: {two}, not {fc.as_category.morphisms[0]}" for t in members
+    ] + ["does not factor through the localisation"]
+
+
+def functors_between_fractions(name):
+    """(F, source, target): the identity of the base, and the inclusion of
+    every full subcategory on a proper nonempty set of objects whose
+    restricted structure is uni-fractionable."""
+    fc = cross_check_fc(name)
+    base = fc.dd.base
+    out = [(identity_functor(base), fc, fc)]
+    for k in range(1, base.n_objects):
+        for objects in itertools.combinations(base.objects, k):
+            sub = full_subcategory(fc.dd, list(objects))
+            if sub.certificate().ok:
+                inclusion = FunctorTable(
+                    sub.base, base, {x: x for x in objects},
+                    {f: f for f in sub.base.morphisms},
+                )
+                out.append((inclusion, build_fraction_category(sub), fc))
+    return out
+
+
+def fraction_functor_problems(fun, fc_src, fc_tgt, induce=induced_functor_on_fractions):
+    """The result of ``induce`` is a functor, sends every member of every
+    class to the class of its image, and commutes with both
+    localisations."""
+    result = induce(fun, fc_src, fc_tgt)
+    mi, m = fun.target.mor_index, fc_src.dd.base.morphisms
+    problems = [str(v) for v in validate_functor(result)]
+    for gi, cid in enumerate(fc_src.partition.class_ids):
+        for t in fc_src.partition.members(gi):
+            image = fc_tgt.class_id(ThreeArrow(*(mi[fun.mor_map[m[k]]] for k in t)))
+            expected = result.mor_map[cid]
+            if image != expected:
+                problems.append(f"{t.ids(fc_src.dd)}: {image}, not {expected}")
+    lhs = fun.compose_with(fc_tgt.localisation)
+    rhs = fc_src.localisation.compose_with(result)
+    if (lhs.obj_map, lhs.mor_map) != (rhs.obj_map, rhs.mor_map):
+        problems.append("does not commute with the localisations")
+    return problems
+
+
+@pytest.mark.parametrize("name", CROSS_CHECK)
+def test_induced_functor_on_fractions_is_independent_of_the_representative(name):
+    cases = functors_between_fractions(name)
+    assert len(cases) > 1 or cross_check_fc(name).dd.base.n_objects == 1
+    for fun, fc_src, fc_tgt in cases:
+        assert fraction_functor_problems(fun, fc_src, fc_tgt) == []
+
+
+def test_planted_wrong_class_is_caught():
+    # DIA's identity functor with the class of m_bot_a sent elsewhere
+    fc = cross_check_fc("DIA")
+    moved = fc.localisation.mor_map["m_bot_a"]
+    problems = fraction_functor_problems(
+        identity_functor(fc.dd.base), fc, fc,
+        lambda *args: with_wrong_image(induced_functor_on_fractions(*args), moved),
+    )
+    members = fc.partition.members(fc.partition.group_of_id(moved))
+    assert len(problems) > len(members) > 1
+    assert problems[-1] == "does not commute with the localisations"
+
+
+def transformations(fc):
+    """(F, G, alpha) into the fraction category: the identity of the
+    localisation L, and every alpha: L => constant functor at an object
+    that is natural on the base."""
+    loc, fr, base = fc.localisation, fc.as_category, fc.dd.base
+    out = [(loc, loc, {x: fr.identity_of(x) for x in base.objects})]
+    for c in fr.objects:
+        const = FunctorTable(
+            base, fr, {x: c for x in base.objects},
+            {f: fr.identity_of(c) for f in base.morphisms},
+        )
+        homs = [
+            [fr.morphisms[k] for k in fr.hom(fr.obj_index[x], fr.obj_index[c])]
+            for x in base.objects
+        ]
+        for components in itertools.product(*homs):
+            alpha = dict(zip(base.objects, components))
+            if all(
+                composite(fr, loc.mor_map[f], alpha[base.tgt_of(f)])
+                == alpha[base.src_of(f)]
+                for f in base.morphisms
+            ):
+                out.append((loc, const, alpha))
+    return out
+
+
+def transformation_problems(fc, fun_f, fun_g, alpha, lift=induced_transformation):
+    """The result of ``lift`` is natural at every class, between the
+    functors induced by F and G."""
+    hat = lift(fc, fun_f, fun_g, alpha)
+    hat_f, hat_g = induced_functor(fc, fun_f), induced_functor(fc, fun_g)
+    tgt, fr = fun_f.target, fc.as_category
+    problems = []
+    for cid in fr.morphisms:
+        x, y = fr.src_of(cid), fr.tgt_of(cid)
+        lhs = composite(tgt, hat_f.mor_map[cid], hat[y])
+        if lhs is None or lhs != composite(tgt, hat[x], hat_g.mor_map[cid]):
+            problems.append(f"not natural at {cid}")
+    return problems
+
+
+@pytest.mark.parametrize("name", CROSS_CHECK)
+def test_induced_transformation_is_natural_at_every_class(name):
+    fc = cross_check_fc(name)
+    for fun_f, fun_g, alpha in transformations(fc):
+        assert transformation_problems(fc, fun_f, fun_g, alpha) == []
+
+
+def test_planted_wrong_component_is_caught():
+    # Z4: alpha = [0] is natural from L to the constant functor; the
+    # identity component is natural only at the identity class
+    fc = cross_check_fc("Z4")
+    fr, zero = fc.as_category, fc.localisation.mor_map["0"]
+    (case,) = [case for case in transformations(fc) if case[2] == {"pt": zero}]
+    problems = transformation_problems(
+        fc, *case, lambda *args: {"pt": fr.identity_of("pt")}
+    )
+    assert problems == [
+        f"not natural at {cid}"
+        for cid in fr.morphisms
+        if cid != fr.identity_of("pt")
+    ]
+
+
+def isomorphism_problems(fc, classify=classify_isomorphisms):
+    """``classify`` gives the invertible classes, found by trying every
+    class as inverse; on a weakly saturated structure these are the
+    classes whose members have a denominator middle."""
+    isos = classify(fc)
+    problems = []
+    if isos != invertible(fc.as_category):
+        problems.append(f"{sorted(isos)} are not the invertible classes")
+    if weakly_saturated(fc.dd):
+        for gi, cid in enumerate(fc.partition.class_ids):
+            for t in fc.partition.members(gi):
+                if (cid in isos) != (t.f in fc.dd.iden):
+                    problems.append(f"{t.ids(fc.dd)}: middle disagrees with {cid}")
+    return problems
+
+
+@pytest.mark.parametrize("name", CROSS_CHECK)
+def test_isomorphisms_are_the_denominator_middles(name):
+    fc = cross_check_fc(name)
+    assert weakly_saturated(fc.dd)
+    assert isomorphism_problems(fc) == []
+
+
+def test_planted_missing_isomorphism_is_caught():
+    fc = cross_check_fc("CH3")
+    dropped = fc.localisation.mor_map["m_0_1"]
+    problems = isomorphism_problems(
+        fc, lambda fc: classify_isomorphisms(fc) - {dropped}
+    )
+    members = fc.partition.members(fc.partition.group_of_id(dropped))
+    assert len(problems) == 1 + len(members)
+    assert problems[1:] == [
+        f"{t.ids(fc.dd)}: middle disagrees with {dropped}" for t in members
+    ]
+
+
 def test_isomorphism_classification(built):
     assert len(classify_isomorphisms(built["DIA"])) == 16
     par = built["PAR"]
@@ -474,9 +788,33 @@ def test_isomorphism_classification(built):
     assert isos == expected
 
 
-@pytest.mark.parametrize("name", POSITIVE)
-def test_saturation_matches_the_ladder(name, built):
-    assert is_saturated(built[name])
+def saturation_problems(fc, saturated=is_saturated):
+    """``saturated`` agrees with weak saturation (the ladder) and with a
+    direct reading: every base morphism with an invertible image is in D."""
+    dd = fc.dd
+    isos = invertible(fc.as_category)
+    direct = all(
+        fc.localisation.mor_map[f] not in isos or dd.base.mor_index[f] in dd.iden
+        for f in dd.base.morphisms
+    )
+    verdicts = {
+        "is_saturated": saturated(fc), "ladder": weakly_saturated(dd), "direct": direct,
+    }
+    return [] if len(set(verdicts.values())) == 1 else [str(verdicts)]
+
+
+@pytest.mark.parametrize("name", CROSS_CHECK)
+def test_saturation_matches_the_ladder(name):
+    fc = cross_check_fc(name)
+    assert is_saturated(fc)
+    assert saturation_problems(fc) == []
+
+
+def test_planted_wrong_saturation_is_caught():
+    fc = cross_check_fc("PAR")
+    assert saturation_problems(fc, lambda fc: False) == [
+        "{'is_saturated': False, 'ladder': True, 'direct': True}"
+    ]
 
 
 def test_st_independence(built, named):

@@ -97,3 +97,37 @@ def test_write_to_dd_is_caught(tmp_path):
         "m.py:1: dd.partition", "m.py:2: dd.blocks", "m.py:3: dd.ranks",
         "m.py:4: dd.count", "m.py:5: dd.derived",
     ]
+
+
+def assert_statements(path: Path) -> list[str]:
+    """Every ``assert`` statement of a module.
+
+    ``python -O`` strips them, so a check the library relies on raises
+    DomainError, AxiomError or InvariantError instead, and a theorem
+    cross-check lives in the tests.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(SRC.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_assert_statements(path):
+    assert assert_statements(path) == []
+
+
+def test_assert_statement_is_caught(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "assert ok\n"
+        "def f(x):\n"
+        "    assert x, 'message'\n"
+        "    raise AssertionError('not a statement')\n"
+        "asserted = 'assert x'\n"
+    )
+    assert assert_statements(module) == ["m.py:1", "m.py:3"]

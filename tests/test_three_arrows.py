@@ -296,6 +296,20 @@ def test_normalise_contract_everywhere(name, named):
         assert part.same_class(t, result)
 
 
+def test_normalise_refuses_a_structure_failing_wu(named):
+    # IDEM fails (WU): every three-arrow is refused up front, whether or
+    # not the witnesses it would read happen to exist
+    dd = named["IDEM"]
+    arrows = enumerate_three_arrows(dd)
+    assert len(arrows) == 8
+    for t in arrows:
+        with pytest.raises(AxiomError, match=r"\(WU\)"):
+            normalise(dd, t)
+        for mode in ("source", "target", "parallel"):
+            with pytest.raises(AxiomError, match=r"\(WU\)"):
+                common_denominator(dd, t, t, mode)
+
+
 def test_common_denominator_idempotent_case(named):
     dd = named["CH3"]
     t = arrow(dd, "i_0", "m_0_1", "i_1")

@@ -26,7 +26,7 @@ from catfrac.transport import (
     validate_products,
 )
 
-from conftest import poset_addition, z2_shell, zmod
+from conftest import CROSS_CHECK, cross_check_fc, poset_addition, z2_shell, zmod
 
 
 @pytest.mark.parametrize("name", ("CH3", "DIA"))
@@ -89,6 +89,67 @@ def test_planted_coproduct_table_breaks_closure(named):
     assert cat.morphisms[coproduct_of_morphisms(cat, cp, m01, m01)] == "m_0_2"
     closed, witness = denominators_closed_under_coproducts(dd, cp)
     assert not closed and witness == ("m_0_1", "m_0_1")
+
+
+def closure_problems(dd, kind, table, decide=None):
+    """The verdict and witness of ``decide`` (the library's closure test
+    by default) against the D x D sweep, and the verdict against the
+    shortcut: S x S and T x T suffice on a uni-fractionable structure,
+    since d + e factors through i + j followed by p + q."""
+    coproducts = kind == "coproducts"
+    of = coproduct_of_morphisms if coproducts else product_of_morphisms
+    if decide is None:
+        decide = (denominators_closed_under_coproducts if coproducts
+                  else denominators_closed_under_products)
+    cat, den = dd.base, dd.iden
+    verdict = decide(dd, table)
+    leaving = [
+        (cat.morphisms[d], cat.morphisms[e])
+        for d in dd.den_sorted for e in dd.den_sorted
+        if of(cat, table, d, e) not in den
+    ]
+    sweep = (not leaving, leaving[0] if leaving else None)
+    problems = [] if verdict == sweep else [f"{verdict} != sweep {sweep}"]
+    shortcut = all(
+        of(cat, table, i, j) in den
+        for pool in (dd.s_sorted, dd.t_sorted) for i in pool for j in pool
+    )
+    if dd.certificate().ok and verdict[0] != shortcut:
+        problems.append(f"{verdict} != shortcut {shortcut}")
+    return problems
+
+
+def closure_cases():
+    """(id, structure, kind, table): every poset of the cross-check ladder
+    with its joins and its meets, and CH3 with a planted (1, 1) coproduct
+    that breaks closure."""
+    cases = []
+    for name in CROSS_CHECK:
+        dd = cross_check_fc(name).dd
+        if name not in ("PAR", "Z4"):
+            cases.append((f"{name}-coproducts", dd, "coproducts", poset_coproducts(dd)))
+            cases.append((f"{name}-products", dd, "products", poset_products(dd)))
+    dd = cross_check_fc("CH3").dd
+    planted = poset_coproducts(dd)
+    planted.pairwise[("1", "1")] = ("2", "m_1_2", "m_1_2")
+    return cases + [("CH3-planted-coproducts", dd, "coproducts", planted)]
+
+
+CLOSURE_CASES = closure_cases()
+
+
+@pytest.mark.parametrize("case", CLOSURE_CASES, ids=lambda case: case[0])
+def test_closure_routes_agree(case):
+    _, dd, kind, table = case
+    assert closure_problems(dd, kind, table) == []
+
+
+def test_planted_wrong_closure_verdict_is_caught():
+    _, dd, kind, planted = CLOSURE_CASES[-1]
+    assert closure_problems(dd, kind, planted, lambda dd, table: (True, None)) == [
+        "(True, None) != sweep (False, ('m_0_1', 'm_0_1'))",
+        "(True, None) != shortcut False",
+    ]
 
 
 @pytest.mark.parametrize("name", ("CH3", "DIA"))

@@ -56,7 +56,7 @@ import functools
 from dataclasses import dataclass
 
 from .core import DomainError, FinCategory, InvariantError
-from .denominators import DenominatorData, factorisations
+from .denominators import DenominatorData, factorisations, require_uni_fractionable
 from .three_arrows import (
     ThreeArrow,
     block_arrows,
@@ -397,8 +397,10 @@ def flip(dd: DenominatorData, hypothesis: dict) -> BridgeWitness:
     "i2" (in S, row3 col4 up), "p1" (in T, row3 col1 up), and "g1",
     "g1d", "g1dd" (row3 down to bottom).  All nine hypothesis squares are
     re-checked; the returned grid keeps p1/g1 as its left column and
-    g2/i2 as its right column.
+    g2/i2 as its right column.  Raises AxiomError unless the structure is
+    uni-fractionable.
     """
+    require_uni_fractionable(dd)
     cat = dd.base
     t1, r2, r3, t2 = (
         hypothesis["top"],
@@ -484,7 +486,9 @@ def factorisation_square(
     cached factorisation (j0, q0) of e to j == j0 k, q0 == k q2,
     returning (i, p, j, q2, h) plus the refinement (k, q2).
     ``given="right"`` is the dual.  Exhaustive search, index order.
+    Raises AxiomError unless the structure is uni-fractionable.
     """
+    cert = require_uni_fractionable(dd)
     cat = dd.base
     mi = cat.mor_index
     for name in (d, e, f, g):
@@ -518,7 +522,7 @@ def factorisation_square(
     if s0 not in dd.is_ or s1 not in dd.it or cat.icomp.get((s0, s1)) != factored:
         raise DomainError(f"supplied pair is not an S,T factorisation of {side}")
     if given == "left":
-        fac = dd.certificate().fac.witnesses[ei]
+        fac = cert.fac.witnesses[ei]
         j, q2, h, k = _refinement(
             cat, dd.s_sorted, dd.t_sorted, fi, gi, s0, s1, fac.i, fac.p
         )
@@ -528,7 +532,7 @@ def factorisation_square(
     # given == "right" is the left refinement of the opposite square
     # (e, d, g, f), where S and T trade places; the cached factorisation of
     # d is read from this structure's certificate, never the opposite's
-    fac = dd.certificate().fac.witnesses[di]
+    fac = cert.fac.witnesses[di]
     p2, i, h, r = _refinement(
         cat.opposite(), dd.t_sorted, dd.s_sorted, gi, fi, s1, s0, fac.p, fac.i
     )

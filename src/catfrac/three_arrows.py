@@ -32,7 +32,6 @@ from .denominators import (
     generating_denominators,
     require_uni_fractionable,
 )
-from .unionfind import DisjointSet
 
 
 class ThreeArrow(NamedTuple):
@@ -151,9 +150,10 @@ def _rank_tables(dd: DenominatorData) -> tuple[list[int], list[int], list[int]]:
 
 
 def fraction_generators(
-    dd: DenominatorData, arrows: list[ThreeArrow]
-) -> list[tuple[ThreeArrow, ThreeArrow]]:
-    """Generating pairs for fraction equality, swept over ``arrows``.
+    dd: DenominatorData, arrows: list[ThreeArrow], index: dict[ThreeArrow, int]
+) -> list[tuple[int, int]]:
+    """Generating pairs for fraction equality, as pairs of positions in
+    ``arrows`` (all three-arrows or one block), looked up in ``index``.
 
     Emits the right-leg moves (b, f, a) ~ (b, fg, ag) and the left-leg
     moves (b, f, a) ~ (gb, gf, a) for every g in
@@ -167,12 +167,11 @@ def fraction_generators(
     from_obj = [[g for g in gens if cat.isrc[g] == x] for x in range(cat.n_objects)]
     to_obj = [[g for g in gens if cat.itgt[g] == x] for x in range(cat.n_objects)]
     pairs = []
-    for t in arrows:
-        b, f, a = t
+    for i, (b, f, a) in enumerate(arrows):
         for g in from_obj[cat.itgt[a]]:
-            pairs.append((t, ThreeArrow(b, comp[(f, g)], comp[(a, g)])))
+            pairs.append((i, index[(b, comp[(f, g)], comp[(a, g)])]))
         for g in to_obj[cat.isrc[b]]:
-            pairs.append((t, ThreeArrow(comp[(g, b)], comp[(g, f)], a)))
+            pairs.append((i, index[(comp[(g, b)], comp[(g, f)], a)]))
     return pairs
 
 
@@ -181,6 +180,7 @@ class FractionPartition:
     with ``block`` = (source, target) of the block from source to target.
     Fraction equality relates only parallel three-arrows (every move keeps
     tgt b and src a), so a block's classes are classes of the whole.
+    ``groups`` holds the classes by smallest member, members ascending.
 
     Class ids are "q" + the position of the smallest member among all
     three-arrows in enumeration order (:func:`arrow_rank`), which keeps
@@ -200,16 +200,31 @@ class FractionPartition:
             raise AxiomError(failed)
         self.arrows = block_arrows(dd, block)
         self.arrow_index = index = {t: i for i, t in enumerate(self.arrows)}
-        ds = DisjointSet(len(self.arrows))
-        for t1, t2 in fraction_generators(dd, self.arrows):
-            ds.union(index[t1], index[t2])
-        self.groups = ds.groups()
-        self.class_of_arrow = {}
-        self.class_ids = []
-        for gi, group in enumerate(self.groups):
-            self.class_ids.append(f"q{arrow_rank(dd, self.arrows[group[0]])}")
-            for member in group:
-                self.class_of_arrow[member] = gi
+        # link the larger root under the smaller: a root is its class's minimum
+        parent = list(range(len(self.arrows)))
+        for i, j in fraction_generators(dd, self.arrows, index):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            while parent[j] != j:
+                parent[j] = parent[parent[j]]
+                j = parent[j]
+            if i < j:
+                parent[j] = i
+            elif j < i:
+                parent[i] = j
+        # one ascending pass: a parent precedes its child, so it points at its root
+        self.groups, self.class_of_arrow = [], []
+        for i, p in enumerate(parent):
+            root = parent[i] = parent[p]
+            if root == i:
+                self.groups.append([])
+            gi = self.class_of_arrow[root] if root < i else len(self.groups) - 1
+            self.class_of_arrow.append(gi)
+            self.groups[gi].append(i)
+        self.class_ids = [
+            f"q{arrow_rank(dd, self.arrows[group[0]])}" for group in self.groups
+        ]
         self._id_to_group = {cid: gi for gi, cid in enumerate(self.class_ids)}
 
     def class_index(self, t: ThreeArrow) -> int:

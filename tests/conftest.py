@@ -129,7 +129,14 @@ def all_leg_moves(dd, arrows):
     return pairs
 
 
-def bfs_partition(dd, generators=fraction_generators):
+def library_moves(dd, arrows):
+    """The library's generator moves, each position pair mapped back to
+    its pair of three-arrows."""
+    index = {t: i for i, t in enumerate(arrows)}
+    return [(arrows[i], arrows[j]) for i, j in fraction_generators(dd, arrows, index)]
+
+
+def bfs_partition(dd, generators=library_moves):
     """Independent closure oracle: connected components of the graph of
     ``generators(dd, arrows)``, computed by plain breadth-first search (no
     union-find)."""

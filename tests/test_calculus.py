@@ -12,6 +12,7 @@ from catfrac.calculus import (
     mixed_composite_equal,
 )
 from catfrac.core import DomainError
+from catfrac.denominators import AxiomError
 from catfrac.fraction import compose_fractions
 from catfrac.instances import chain, make_named
 from catfrac.three_arrows import (
@@ -428,6 +429,42 @@ def test_factorisation_square_rejects_bad_supplied_pair(named, supplied):
         factorisation_square(
             named["CH3"], "m_0_1", "i_1", "m_0_1", "i_1", given="left", supplied=supplied
         )
+
+
+def fac_failing_chain(extra_s=()):
+    """chain(3) with D everything but S = T = the identities (plus
+    ``extra_s`` in S): no non-identity denominator factors, so (Fac) fails."""
+    ids = ["i_0", "i_1", "i_2"]
+    return chain(3, "all", s_denominators=ids + list(extra_s), t_denominators=ids)
+
+
+@pytest.mark.parametrize(
+    "extra_s, square, given, supplied",
+    [
+        ((), ("m_0_1", "m_0_1", "i_0", "i_1"), "none", None),
+        (("m_0_1",), ("m_0_1", "m_1_2", "m_0_1", "m_1_2"), "left", ("m_0_1", "i_1")),
+        (("m_0_1",), ("i_0", "m_0_1", "i_0", "m_0_1"), "right", ("m_0_1", "i_1")),
+    ],
+    ids=("none", "left", "right"),
+)
+def test_factorisation_square_refuses_a_structure_failing_fac(
+    extra_s, square, given, supplied
+):
+    # unchecked, the search comes up empty, the refinement reads a (Fac)
+    # witness that is not there, or a square comes back over a structure
+    # with no calculus of fractions
+    dd = fac_failing_chain(extra_s)
+    with pytest.raises(AxiomError) as err:
+        factorisation_square(dd, *square, given=given, supplied=supplied)
+    assert err.value.axioms == ["(Fac)"]
+
+
+def test_flip_refuses_a_structure_failing_fac():
+    dd = fac_failing_chain()
+    t = arrow(dd, "i_0", "m_0_1", "i_1")
+    with pytest.raises(AxiomError) as err:
+        flip(dd, degenerate_hypothesis(dd, t))
+    assert err.value.axioms == ["(Fac)"]
 
 
 def test_factorisation_square_sweep(named):

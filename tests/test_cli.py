@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from catfrac import cli, fileio, three_arrows
 from catfrac.cli import run
-from catfrac.core import DomainError
+from catfrac.core import DomainError, InvariantError
 from catfrac.denominators import DenominatorData
 from catfrac.instances import as_instance, chain, from_instance, make_named
 from catfrac.three_arrows import ThreeArrow, check_normal
@@ -521,6 +521,21 @@ def test_broken_invariant_is_one_divergence_line(ch3_file, monkeypatch, capsys):
         "DIVERGENCE grid relations admit a grid for i_1,m_1_2,i_2 and "
         "m_0_1,m_0_2,i_2 that the witness search does not find\n"
     )
+
+
+@pytest.mark.parametrize("name, pairs", [("CH3", 18), ("Z4", 136)])
+def test_theorem_suite_searches_no_witness(name, pairs, tmp_path, monkeypatch, capsys):
+    # the suite's verdicts come from the grid relations alone; a witness
+    # search would surface as a DIVERGENCE line
+    def searched(*args, **kw):
+        raise InvariantError("the theorem suite searched for a witness")
+
+    monkeypatch.setattr("catfrac.calculus.find_bridge", searched)
+    path = str(tmp_path / name)
+    assert run(["instance", name, "-o", path]) == 0
+    capsys.readouterr()
+    assert run(["check", path, "--suite", "theorem"]) == 0
+    assert capsys.readouterr() == (f"theorem PASS pairs={pairs} divergences=0\n", "")
 
 
 def test_unknown_ids_exit_one(ch3_file, capsys):

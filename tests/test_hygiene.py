@@ -1,6 +1,9 @@
 """Source hygiene. The repository configures no linter, so these tests are the guard."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,3 +134,21 @@ def test_assert_statement_is_caught(tmp_path):
         "asserted = 'assert x'\n"
     )
     assert assert_statements(module) == ["m.py:1", "m.py:3"]
+
+
+def test_setup_import_loads_exactly_these_modules():
+    # what a fresh ``import catfrac.cli`` loads is what every command pays
+    # before it starts; transport stays behind its lazy import in cli
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, catfrac.cli; "
+         "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'catfrac'))"],
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.split()
+    assert loaded == [
+        "catfrac", *(f"catfrac.{name}" for name in (
+            "calculus", "cli", "core", "denominators", "fileio", "fraction",
+            "instances", "three_arrows",
+        )),
+    ]

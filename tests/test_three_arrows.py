@@ -3,7 +3,13 @@ import pytest
 from catfrac.core import DomainError
 from catfrac import three_arrows
 from catfrac.denominators import AxiomError
-from catfrac.instances import chain, diamond, make_named, make_poset
+from catfrac.instances import (
+    chain,
+    diamond,
+    make_named,
+    make_poset,
+    transformation_monoid,
+)
 from catfrac.three_arrows import (
     FractionPartition,
     ThreeArrow,
@@ -12,7 +18,6 @@ from catfrac.three_arrows import (
     common_denominator,
     enumerate_three_arrows,
     fraction_equivalence,
-    fraction_generators,
     generating_denominators,
     is_denominator_class,
     is_normal,
@@ -29,6 +34,7 @@ from conftest import (
     bfs_partition,
     block_partitions,
     certificate_ladder,
+    library_moves,
     one_step_generators,
     zmod,
 )
@@ -114,7 +120,8 @@ def test_generating_denominators_examples():
     "dd",
     [make_named(name) for name in POSITIVE]
     + [chain(n) for n in range(2, 9)]
-    + [zmod(n) for n in (6, 8, 9, 12)],
+    + [zmod(n) for n in (6, 8, 9, 12, 16)]
+    + [transformation_monoid(3)],
     ids=lambda dd: dd.name,
 )
 def test_generating_set_moves_match_all_moves(dd):
@@ -132,7 +139,7 @@ def test_partition_refuses_a_structure_failing_cat():
 @pytest.mark.parametrize("name", POSITIVE)
 def test_generators_relate_parallel_arrows(name, named):
     dd = named[name]
-    for t1, t2 in fraction_generators(dd, enumerate_three_arrows(dd)):
+    for t1, t2 in library_moves(dd, enumerate_three_arrows(dd)):
         assert source_of(dd, t1) == source_of(dd, t2)
         assert target_of(dd, t1) == target_of(dd, t2)
 

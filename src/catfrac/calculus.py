@@ -48,6 +48,9 @@ exactly when some m1 in Top[t1] has Mid[m1] meeting Bot[t2]: an acyclic
 chain of three relations, decided by semi-joins of bitset rows instead
 of the 12-deep search.  ``equal_by_3x3`` decides that way and runs
 ``find_bridge`` only to spell out the witness of a positive verdict.
+With BotIn[m2] = {t2 : t2 ->_S m2}, the transpose of Bot, every t2 with
+a grid from t1 is one verdict row: the union of BotIn over the union of
+Mid over Top[t1].  The theorem suite reads whole rows.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from .three_arrows import (
     check_three_arrow,
     identity_arrow,
     is_normal,
+    rank_tables,
     source_of,
     target_of,
 )
@@ -144,45 +148,45 @@ def find_bridge(
 
     # the endpoint scans read the S/T buckets and every solution-map hit
     # already has the right endpoints; only membership filters remain
+    left_pL, right_iR = left_sol[pL], right_sol[iR]
     for pm1 in dd.t_by_tgt[A1]:
         lhs1 = cat.icomp[(pm1, t1.b)]
         w2 = cat.icomp[(pm1, t1.f)]
-        for bm1 in left_sol.get((pL, lhs1), ()):
+        for bm1 in left_pL.get(lhs1, ()):
             if bm1 not in den or (rows_normal and bm1 not in t_set):
                 continue
             w4 = cat.icomp[(bm1, gL)]
             for im1 in dd.s_by_src[B1]:
-                for bm2 in right_sol.get((im1, w1), ()):
+                for bm2 in right_sol[im1].get(w1, ()):
                     if bm2 not in den or (rows_normal and bm2 not in t_set):
                         continue
-                    for gm1 in left_sol.get((bm2, w4), ()):
+                    for gm1 in left_sol[bm2].get(w4, ()):
                         if middles_in_D and gm1 not in den:
                             continue
+                        right_gm1 = right_sol[gm1]
                         for pm2 in dd.t_by_tgt[A2]:
-                            for am1 in left_sol.get((pm2, w3), ()):
+                            left_pm2 = left_sol[pm2]
+                            for am1 in left_pm2.get(w3, ()):
                                 if am1 not in den or (
                                     rows_normal and am1 not in s_set
                                 ):
                                     continue
-                                for fm1 in left_sol.get((pm2, w2), ()):
+                                right_am1 = right_sol[am1]
+                                for fm1 in left_pm2.get(w2, ()):
                                     for im2 in dd.s_by_src[B2]:
                                         w9 = cat.icomp[(t2.a, im2)]
                                         w8 = cat.icomp[(t2.f, im2)]
-                                        for am2 in right_sol.get((iR, w9), ()):
+                                        for am2 in right_iR.get(w9, ()):
                                             if am2 not in den or (
                                                 rows_normal and am2 not in s_set
                                             ):
                                                 continue
                                             w6 = cat.icomp[(gR, am2)]
-                                            for gm2 in right_sol.get(
-                                                (am1, w6), ()
-                                            ):
+                                            for gm2 in right_am1.get(w6, ()):
                                                 if middles_in_D and gm2 not in den:
                                                     continue
                                                 w5 = cat.icomp[(fm1, gm2)]
-                                                for fm2 in right_sol.get(
-                                                    (gm1, w5), ()
-                                                ):
+                                                for fm2 in right_gm1.get(w5, ()):
                                                     if (
                                                         cat.icomp.get((im1, fm2))
                                                         != w8
@@ -222,98 +226,120 @@ class ThreeByThreeWitness:
         return self.bridge.ids(dd)
 
 
-def _into_row(cat: FinCategory, den, index: dict, into, t: tuple) -> int:
+def _into_row(cat: FinCategory, den, ranks, into, t: tuple) -> int:
     """Bitset of the block members m with a three-arrow morphism m -> t
     whose column (c1, c2) is drawn from a pool C of morphisms:
 
         m.b == c1;t.b    c1;t.f == m.f;c2    m.a;c2 == t.a
 
     ``into[x]`` lists the members of C with target x in index order, and
-    ``index`` numbers the block's three-arrows of ``cat``, looked up as
-    (b, f, a) tuples.  Over the opposite category, with each tuple
-    reversed and C bucketed by source, the same sweep gives the out-row
-    {m : t -> m}.
+    ``ranks`` holds the block's prefix tables (first, middle, last) over
+    ``cat``: m sits at first[m.b] + middle[m.f] + last[m.a].  Over the
+    opposite category, with each tuple and the tables reversed and C
+    bucketed by source, the same sweep gives the out-row {m : t -> m}.
     """
     b, f, a = t
     comp = cat.icomp
     left_sol = cat.solution_maps()[0]
+    first, middle, last = ranks
     heads = [
-        (comp[(c1, b)], comp[(c1, f)])
+        (first[comp[(c1, b)]], comp[(c1, f)])
         for c1 in into[cat.isrc[b]]
         if comp[(c1, b)] in den
     ]
     row = 0
     for c2 in into[cat.itgt[f]]:
-        tails = [ma for ma in left_sol.get((c2, a), ()) if ma in den]
+        left_c2 = left_sol[c2]
+        tails = [last[ma] for ma in left_c2.get(a, ()) if ma in den]
         if not tails:
             continue
-        for mb, w in heads:
-            for mf in left_sol.get((c2, w), ()):
-                for ma in tails:
-                    row |= 1 << index[(mb, mf, ma)]
+        for head, w in heads:
+            for mf in left_c2.get(w, ()):
+                start = head + middle[mf]
+                for tail in tails:
+                    row |= 1 << (start + tail)
     return row
 
 
 class GridRelations:
-    """Top, Mid and Bot (module docstring) over one (source, target) block.
+    """Top, Mid, Bot and BotIn (module docstring) over one (source,
+    target) block.
 
     The block comes from :func:`block_arrows`, which reads composition
     and membership in D alone, in index order, and never the fraction
-    partition; ``index`` maps each three-arrow to its position.  Each row
-    is an ``int`` bitset over the positions; ``top(k)``, ``mid(k)`` and
-    ``bot(k)`` build row k on first use and keep it.
+    partition; :func:`rank_tables` place its members, and ``index`` maps
+    each to its position.  Each row is an ``int`` bitset over the
+    positions; ``top(k)``, ``mid(k)``, ``bot(k)`` and ``bot_in(k)`` build
+    row k on first use and keep it.
     """
 
     def __init__(self, dd: DenominatorData, source: int, target: int):
         cat, den = dd.base, dd.iden
         arrows = block_arrows(dd, (source, target))
-        self.index = index = {t: k for k, t in enumerate(arrows)}
-        op, op_index = cat.opposite(), {t[::-1]: k for t, k in index.items()}
+        self.index = {t: k for k, t in enumerate(arrows)}
+        ranks = rank_tables(dd, (source, target))
+        op, op_ranks = cat.opposite(), ranks[::-1]
         self.normal = 0
         for k, (b, _, a) in enumerate(arrows):
             if b in dd.it and a in dd.is_:
                 self.normal |= 1 << k
         t_by_tgt, d_by_src, s_by_src = dd.t_by_tgt, dd.d_by_src, dd.s_by_src
-        # Top[t1] = {m1 : m1 ->_T t1}; the out-rows Mid[m1] = {m2 : m1 ->_D m2}
-        # and Bot[t2] = {m2 : t2 ->_S m2} are in-rows of the opposite
+        s_by_tgt = [[s for s in into if s in dd.is_] for into in cat.by_tgt]
+        # Top[t1] and BotIn[m2] are in-rows; the out-rows Mid[m1] and Bot[t2]
+        # are in-rows of the opposite
         self.top = functools.cache(
-            lambda k: _into_row(cat, den, index, t_by_tgt, arrows[k])
+            lambda k: _into_row(cat, den, ranks, t_by_tgt, arrows[k])
         )
         self.mid = functools.cache(
-            lambda k: _into_row(op, den, op_index, d_by_src, arrows[k][::-1])
+            lambda k: _into_row(op, den, op_ranks, d_by_src, arrows[k][::-1])
         )
         self.bot = functools.cache(
-            lambda k: _into_row(op, den, op_index, s_by_src, arrows[k][::-1])
+            lambda k: _into_row(op, den, op_ranks, s_by_src, arrows[k][::-1])
+        )
+        self.bot_in = functools.cache(
+            lambda k: _into_row(cat, den, ranks, s_by_tgt, arrows[k])
         )
         # the union of Mid over Top[t1], by normal_middles, then by t1
         n = len(arrows)
         self._reach = ([None] * n, [None] * n)
 
+    def reach(self, k: int, normal_middles: bool = False, stop: int = 0) -> int:
+        """The union of Mid[m1] over m1 in Top[k] (the semi-join of Top and
+        Mid), with only normal m1 and m2 under ``normal_middles``; kept once
+        a sweep completes.  A sweep meeting ``stop`` returns what it has."""
+        reached = self._reach[normal_middles]
+        reach = reached[k]
+        if reach is None:
+            mask = self.normal if normal_middles else -1
+            rest, reach = self.top(k) & mask, 0
+            while rest:
+                low = rest & -rest
+                reach |= self.mid(low.bit_length() - 1) & mask
+                if reach & stop:
+                    return reach
+                rest ^= low
+            reached[k] = reach
+        return reach
+
     def grid_exists(
         self, t1: ThreeArrow, t2: ThreeArrow, normal_middles: bool
     ) -> bool:
         """Whether some m1 in Top[t1] has Mid[m1] meeting Bot[t2]; with
-        ``normal_middles`` both m1 and m2 must be normal.
-
-        The union of Mid[m1] over Top[t1] (the semi-join of Top and Mid)
-        is kept per t1 once a sweep completes, so every later verdict on
-        t1 is one intersection; a sweep stops at its first meeting.
+        ``normal_middles`` both m1 and m2 must be normal.  After the first
+        complete sweep for t1, every verdict on t1 is one intersection.
         """
-        k1 = self.index[t1]
         bot = self.bot(self.index[t2])
-        reached = self._reach[normal_middles]
-        reach = reached[k1]
-        if reach is None:
-            mask = self.normal if normal_middles else -1
-            rest, reach = self.top(k1) & mask, 0
-            while rest:
-                low = rest & -rest
-                reach |= self.mid(low.bit_length() - 1) & mask
-                if reach & bot:
-                    return True
-                rest ^= low
-            reached[k1] = reach
-        return bool(reach & bot)
+        return bool(self.reach(self.index[t1], normal_middles, bot) & bot)
+
+    def verdict_row(self, k: int) -> int:
+        """The positions of every t2 with a grid from position k, with any
+        middle rows: the union of BotIn[m2] over m2 in reach(k)."""
+        rest, row = self.reach(k), 0
+        while rest:
+            low = rest & -rest
+            row |= self.bot_in(low.bit_length() - 1)
+            rest ^= low
+        return row
 
 
 def grid_relations(dd: DenominatorData, source: int, target: int) -> GridRelations:

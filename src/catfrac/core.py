@@ -136,11 +136,12 @@ class FinCategory:
         return op
 
     def solution_maps(self):
-        """left[(y, w)] = all x with comp(x, y) == w; right[(x, w)] dually.
+        """Solution rows: left[y][w] lists every x with comp(x, y) == w and
+        right[x][w] every y, in index order; a w with no solution is absent.
 
-        Buckets are in index order; built on first use, then reused.  The
-        opposite of a live category reads the original's pair swapped:
-        left over the opposite is right over the original.
+        Built on first use, then reused.  The opposite of a live category
+        reads the original's pair swapped: left over the opposite is right
+        over the original.
         """
         if self._solution_maps is None:
             link = self._opposite
@@ -149,14 +150,11 @@ class FinCategory:
                 left, right = original.solution_maps()
                 self._solution_maps = right, left
                 return self._solution_maps
-            left: dict[tuple[int, int], list[int]] = {}
-            right: dict[tuple[int, int], list[int]] = {}
-            for (x, y), w in self.icomp.items():
-                left.setdefault((y, w), []).append(x)
-                right.setdefault((x, w), []).append(y)
-            for bucket in (left, right):
-                for key in bucket:
-                    bucket[key].sort()
+            left = [{} for _ in self.morphisms]
+            right = [{} for _ in self.morphisms]
+            for (x, y), w in sorted(self.icomp.items()):
+                left[y].setdefault(w, []).append(x)
+                right[x].setdefault(w, []).append(y)
             self._solution_maps = left, right
         return self._solution_maps
 

@@ -213,9 +213,10 @@ def is_weak_pushout(cat: FinCategory, square: tuple[int, int, int, int]) -> bool
     ):
         raise DomainError("square does not commute")
     comp, right_sol = cat.icomp, cat.solution_maps()[1]
+    right_f, right_f2 = right_sol[f], right_sol[f2]
     for u in cat.by_src[cat.itgt[i]]:
-        mediators = right_sol.get((f2, u), ())
-        for v in right_sol.get((f, comp[(i, u)]), ()):
+        mediators = right_f2.get(u, ())
+        for v in right_f.get(comp[(i, u)], ()):
             for w in mediators:
                 if comp[(i2, w)] == v:
                     break

@@ -72,14 +72,15 @@ def lax_composites_all(dd: DenominatorData, t1: ThreeArrow, t2: ThreeArrow):
     left_sol, right_sol = cat.solution_maps()
     b2a1 = cat.icomp[(t2.b, t1.a)]
     for d, e in factorisations(cat, b2a1, dd.den_sorted, dd.den_sorted):
+        left_e, right_d = left_sol[e], right_sol[d]
         for e1 in dd.den_sorted:
             if cat.itgt[e1] != cat.isrc[t1.f]:
                 continue
-            for g1 in left_sol.get((e, cat.icomp[(e1, t1.f)]), ()):
+            for g1 in left_e.get(cat.icomp[(e1, t1.f)], ()):
                 for d1 in dd.den_sorted:
                     if cat.isrc[d1] != cat.itgt[t2.f]:
                         continue
-                    for g2 in right_sol.get((d, cat.icomp[(t2.f, d1)]), ()):
+                    for g2 in right_d.get(cat.icomp[(t2.f, d1)], ()):
                         yield ThreeArrow(
                             cat.icomp[(e1, t1.b)],
                             cat.icomp[(g1, g2)],

@@ -115,24 +115,33 @@ def block_arrows(
 
 def arrow_rank(dd: DenominatorData, t: ThreeArrow) -> int:
     """Position of ``t`` among all three-arrows of ``dd`` in index order,
-    counted without enumerating them.
+    counted without enumerating them, from the :func:`rank_tables` of the
+    whole list, built on first use and kept on ``dd``."""
+    before_b, before_f, before_a = dd.keep("ranks", rank_tables, dd)
+    return before_b[t.b] + before_f[t.f] + before_a[t.a]
+
+
+def rank_tables(
+    dd: DenominatorData, block: tuple[int, int] | None = None
+) -> tuple[list[int], list[int], list[int]]:
+    """Prefix tables (B, F, A) that place each three-arrow (b, f, a) of
+    :func:`enumerate_three_arrows` of ``block`` at B[b] + F[f] + A[a].
 
     Three-arrows sort by b, then f, then a.  Those before (b, f, a) have a
     smaller first leg (B[b]), or first leg b and a smaller middle f' out
     of the same object (F[f]), or first legs (b, f) and a smaller last leg
-    a' into the same object (A[a]); so the position is B[b] + F[f] + A[a].
-    The three prefix tables are built on first use and kept on ``dd``.
+    a' into the same object (A[a]).  For a block, only the members of D
+    into its source count as first legs, and out of its target as last.
     """
-    before_b, before_f, before_a = dd.keep("ranks", _rank_tables, dd)
-    return before_b[t.b] + before_f[t.f] + before_a[t.a]
-
-
-def _rank_tables(dd: DenominatorData) -> tuple[list[int], list[int], list[int]]:
     cat, den = dd.base, dd.iden
     n = cat.n_morphisms
-    # A: members of D into the same object before a; legs: all of them
+    firsts, lasts = dd.den_sorted, dd.den_sorted
+    if block is not None:
+        firsts = [b for b in cat.by_tgt[block[0]] if b in den]
+        lasts = dd.d_by_src[block[1]]
+    # A: last legs into the same object before a; legs: all of them
     before_a, legs = [0] * n, [0] * cat.n_objects
-    for a in dd.den_sorted:
+    for a in lasts:
         before_a[a] = legs[cat.itgt[a]]
         legs[cat.itgt[a]] += 1
     # F: (f', a') with f' < f out of src f; per_b: all (f, a) out of an object
@@ -142,18 +151,18 @@ def _rank_tables(dd: DenominatorData) -> tuple[list[int], list[int], list[int]]:
             before_f[f] = per_b[x]
             per_b[x] += legs[cat.itgt[f]]
     before_b, run = [0] * n, 0
-    for b in range(n):
+    for b in firsts:
         before_b[b] = run
-        if b in den:
-            run += per_b[cat.isrc[b]]
+        run += per_b[cat.isrc[b]]
     return before_b, before_f, before_a
 
 
 def fraction_generators(
-    dd: DenominatorData, arrows: list[ThreeArrow], index: dict[ThreeArrow, int]
+    dd: DenominatorData, arrows: list[ThreeArrow], ranks: tuple[list[int], ...]
 ) -> list[tuple[int, int]]:
     """Generating pairs for fraction equality, as pairs of positions in
-    ``arrows`` (all three-arrows or one block), looked up in ``index``.
+    ``arrows`` (all three-arrows or one block), each read from the list's
+    :func:`rank_tables` ``ranks``.
 
     Emits the right-leg moves (b, f, a) ~ (b, fg, ag) and the left-leg
     moves (b, f, a) ~ (gb, gf, a) for every g in
@@ -163,15 +172,17 @@ def fraction_generators(
     """
     cat = dd.base
     comp = cat.icomp
+    before_b, before_f, before_a = ranks
     gens = generating_denominators(dd)
     from_obj = [[g for g in gens if cat.isrc[g] == x] for x in range(cat.n_objects)]
     to_obj = [[g for g in gens if cat.itgt[g] == x] for x in range(cat.n_objects)]
     pairs = []
     for i, (b, f, a) in enumerate(arrows):
+        head, tail = before_b[b], before_a[a]
         for g in from_obj[cat.itgt[a]]:
-            pairs.append((i, index[(b, comp[(f, g)], comp[(a, g)])]))
+            pairs.append((i, head + before_f[comp[(f, g)]] + before_a[comp[(a, g)]]))
         for g in to_obj[cat.isrc[b]]:
-            pairs.append((i, index[(comp[(g, b)], comp[(g, f)], a)]))
+            pairs.append((i, before_b[comp[(g, b)]] + before_f[comp[(g, f)]] + tail))
     return pairs
 
 
@@ -199,10 +210,11 @@ class FractionPartition:
         if failed:
             raise AxiomError(failed)
         self.arrows = block_arrows(dd, block)
-        self.arrow_index = index = {t: i for i, t in enumerate(self.arrows)}
+        self.arrow_index = {t: i for i, t in enumerate(self.arrows)}
+        ranks = rank_tables(dd, block)
         # link the larger root under the smaller: a root is its class's minimum
         parent = list(range(len(self.arrows)))
-        for i, j in fraction_generators(dd, self.arrows, index):
+        for i, j in fraction_generators(dd, self.arrows, ranks):
             while parent[i] != i:
                 parent[i] = parent[parent[i]]
                 i = parent[i]

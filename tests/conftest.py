@@ -15,7 +15,12 @@ from catfrac.instances import (
     make_named,
     transformation_monoid,
 )
-from catfrac.three_arrows import ThreeArrow, enumerate_three_arrows, fraction_generators
+from catfrac.three_arrows import (
+    ThreeArrow,
+    enumerate_three_arrows,
+    fraction_generators,
+    rank_tables,
+)
 
 POSITIVE = ("WALK", "CH3", "DIA", "DIA-B", "PAR", "Z4")
 # the structures the theorem cross-checks run over, every class, member
@@ -101,10 +106,11 @@ def one_step_generators(dd, arrows):
                 continue
             w = cat.icomp[(c2, t2.f)]
             for c in cat.by_tgt[cat.itgt[t2.f]]:
-                for f in left_sol.get((c, w), []):
+                left_c = left_sol[c]
+                for f in left_c.get(w, []):
                     if cat.isrc[f] != cat.isrc[c2]:
                         continue
-                    for a in left_sol.get((c, t2.a), []):
+                    for a in left_c.get(t2.a, []):
                         if a in dd.iden:
                             pairs.append((ThreeArrow(b, f, a), t2))
     return pairs
@@ -130,10 +136,10 @@ def all_leg_moves(dd, arrows):
 
 
 def library_moves(dd, arrows):
-    """The library's generator moves, each position pair mapped back to
-    its pair of three-arrows."""
-    index = {t: i for i, t in enumerate(arrows)}
-    return [(arrows[i], arrows[j]) for i, j in fraction_generators(dd, arrows, index)]
+    """The library's generator moves over all three-arrows ``arrows`` of
+    ``dd``, each position pair mapped back to its pair of three-arrows."""
+    ranks = rank_tables(dd)
+    return [(arrows[i], arrows[j]) for i, j in fraction_generators(dd, arrows, ranks)]
 
 
 def bfs_partition(dd, generators=library_moves):

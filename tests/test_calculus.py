@@ -14,7 +14,7 @@ from catfrac.calculus import (
 from catfrac.core import DomainError
 from catfrac.denominators import AxiomError
 from catfrac.fraction import compose_fractions
-from catfrac.instances import chain, make_named
+from catfrac.instances import NAMED, chain, make_named, transformation_monoid
 from catfrac.three_arrows import (
     ThreeArrow,
     fraction_equivalence,
@@ -157,6 +157,33 @@ def test_grid_relations_match_the_oracle(dd):
         for k, t1 in enumerate(block):
             verdicts = [rel.grid_exists(t1, t2, False) for t2 in block[k:]]
             assert verdicts == [c == classes[k] for c in classes[k:]], block[k].ids(dd)
+
+
+def bits(row):
+    return [k for k in range(row.bit_length()) if row >> k & 1]
+
+
+@pytest.mark.parametrize(
+    "dd",
+    [make_named(name) for name in NAMED]
+    + [chain(n) for n in range(2, 9)]
+    + [zmod(n) for n in range(2, 13)]
+    + [transformation_monoid(3)],
+    ids=lambda dd: dd.name,
+)
+def test_verdict_rows_are_the_pairwise_verdicts(dd):
+    # verdict_row(k) against the pairwise loop the theorem suite ran
+    # before it read whole rows; BotIn against Bot transposed
+    for rel, block in blocks(dd):
+        n = len(block)
+        for k, t1 in enumerate(block):
+            verdicts = [rel.grid_exists(t1, t2, False) for t2 in block]
+            assert bits(rel.verdict_row(k)) == [j for j in range(n) if verdicts[j]]
+        bot_in = [0] * n
+        for k in range(n):
+            for m2 in bits(rel.bot(k)):
+                bot_in[m2] |= 1 << k
+        assert [rel.bot_in(m2) for m2 in range(n)] == bot_in
 
 
 def test_caches_die_with_their_structure():

@@ -16,8 +16,15 @@ from catfrac import cli, fileio, three_arrows
 from catfrac.cli import run
 from catfrac.core import DomainError, InvariantError
 from catfrac.denominators import DenominatorData
-from catfrac.instances import as_instance, chain, from_instance, make_named
-from catfrac.three_arrows import ThreeArrow, check_normal
+from catfrac.calculus import grid_relations
+from catfrac.instances import (
+    as_instance,
+    chain,
+    from_instance,
+    make_named,
+    transformation_monoid,
+)
+from catfrac.three_arrows import ThreeArrow, check_normal, source_of, target_of
 
 from conftest import POSITIVE, block_partitions, poset_addition
 
@@ -536,6 +543,40 @@ def test_theorem_suite_searches_no_witness(name, pairs, tmp_path, monkeypatch, c
     capsys.readouterr()
     assert run(["check", path, "--suite", "theorem"]) == 0
     assert capsys.readouterr() == (f"theorem PASS pairs={pairs} divergences=0\n", "")
+
+
+@pytest.mark.parametrize(
+    "dd",
+    [make_named("CH3"), make_named("Z4"), chain(5), transformation_monoid(3)],
+    ids=lambda dd: dd.name,
+)
+def test_theorem_suite_counts_a_planted_divergence(dd, tmp_path, monkeypatch, capsys):
+    # a partition that merges pairs of classes and splits every third one
+    # by position parity; the suite's row counts must equal the pairwise ones
+    class_index = three_arrows.FractionPartition.class_index
+
+    def planted(part, t):
+        gi = class_index(part, t)
+        return gi // 2, part.arrow_index[t] % 2 if gi % 3 == 0 else 0
+
+    monkeypatch.setattr(three_arrows.FractionPartition, "class_index", planted)
+    path = str(tmp_path / dd.name)
+    fileio.dump(as_instance(dd, with_structure=True), path)
+    part = three_arrows.fraction_equivalence(dd)
+    checked = diverged = 0
+    for block in {(source_of(dd, t), target_of(dd, t)) for t in part.arrows}:
+        rel = grid_relations(dd, *block)
+        members = list(rel.index)
+        for k, t1 in enumerate(members):
+            for t2 in members[k:]:
+                checked += 1
+                if rel.grid_exists(t1, t2, False) != part.same_class(t1, t2):
+                    diverged += 1
+    assert diverged > 0
+    assert run(["check", path, "--suite", "theorem"]) == 1
+    assert capsys.readouterr() == (
+        f"theorem FAIL pairs={checked} divergences={diverged}\n", ""
+    )
 
 
 def test_unknown_ids_exit_one(ch3_file, capsys):

@@ -124,6 +124,21 @@ def test_opposite_is_a_memoised_involution(name):
         assert (op.src_of(f), op.tgt_of(f)) == (cat.tgt_of(f), cat.src_of(f))
 
 
+@pytest.mark.parametrize("dd", certificate_ladder(), ids=lambda dd: dd.name)
+def test_solution_rows_match_a_brute_force(dd):
+    # left[y][w] and right[x][w] list every solution of comp(x, y) == w in
+    # index order, and hold no key without one
+    cat = dd.base
+    n = cat.n_morphisms
+    left, right = cat.solution_maps()
+    for y in range(n):
+        xs = {w: [x for x in range(n) if cat.icomp.get((x, y)) == w] for w in range(n)}
+        assert left[y] == {w: found for w, found in xs.items() if found}
+    for x in range(n):
+        ys = {w: [y for y in range(n) if cat.icomp.get((x, y)) == w] for w in range(n)}
+        assert right[x] == {w: found for w, found in ys.items() if found}
+
+
 def test_opposite_shares_the_solution_maps_swapped():
     cat = make_named("DIA").base
     left, right = cat.solution_maps()

@@ -23,6 +23,7 @@ from catfrac.three_arrows import (
     is_normal,
     normalise,
     parse_three_arrow,
+    rank_tables,
     same_fraction,
     source_of,
     target_of,
@@ -198,6 +199,12 @@ def test_block_partitions_equal_the_whole(dd):
 def test_rank_is_the_enumeration_position(dd):
     for k, t in enumerate(enumerate_three_arrows(dd)):
         assert arrow_rank(dd, t) == k
+    # each block's own tables place its members at their block positions
+    for block, arrows in blocks(dd).items():
+        first, middle, last = rank_tables(dd, block)
+        assert [first[b] + middle[f] + last[a] for b, f, a in arrows] == list(
+            range(len(arrows))
+        )
 
 
 def test_same_fraction_reads_one_block():

@@ -41,9 +41,10 @@ for square in ((e, e, e, e), (e, e, one, one)):
 # ---------------------------------------------------------------------------
 # Witness caches: every factorisation the checker records is the smallest
 # S-then-T splitting in file order, so later constructions are replayable.
+# A witness is a plain pair of morphism indices: witnesses[d] == (i, p).
 
 certificate = ch3.certificate()
 print("\nCH3 factorisation witnesses")
 names = ch3.base.morphisms
-for fac in certificate.fac.witnesses.values():
-    print(f"    {names[fac.d]} = {names[fac.i]} ; {names[fac.p]}")
+for d, (i, p) in certificate.fac.witnesses.items():
+    print(f"    {names[d]} = {names[i]} ; {names[p]}")

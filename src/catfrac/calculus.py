@@ -548,9 +548,9 @@ def factorisation_square(
     if s0 not in dd.is_ or s1 not in dd.it or cat.icomp.get((s0, s1)) != factored:
         raise DomainError(f"supplied pair is not an S,T factorisation of {side}")
     if given == "left":
-        fac = cert.fac.witnesses[ei]
+        j0, q0 = cert.fac.witnesses[ei]
         j, q2, h, k = _refinement(
-            cat, dd.s_sorted, dd.t_sorted, fi, gi, s0, s1, fac.i, fac.p
+            cat, dd.s_sorted, dd.t_sorted, fi, gi, s0, s1, j0, q0
         )
         return FactorisationSquare(
             ms[s0], ms[s1], ms[j], ms[q2], ms[h], refinement=(ms[k], ms[q2])
@@ -558,9 +558,9 @@ def factorisation_square(
     # given == "right" is the left refinement of the opposite square
     # (e, d, g, f), where S and T trade places; the cached factorisation of
     # d is read from this structure's certificate, never the opposite's
-    fac = cert.fac.witnesses[di]
+    i0, p0 = cert.fac.witnesses[di]
     p2, i, h, r = _refinement(
-        cat.opposite(), dd.t_sorted, dd.s_sorted, gi, fi, s1, s0, fac.p, fac.i
+        cat.opposite(), dd.t_sorted, dd.s_sorted, gi, fi, s1, s0, p0, i0
     )
     return FactorisationSquare(
         ms[i], ms[p2], ms[s0], ms[s1], ms[h], refinement=(ms[r], ms[p2])

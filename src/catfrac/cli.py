@@ -58,9 +58,9 @@ def cmd_axioms(args) -> int:
     for line in cert.lines():
         print(line)
     if args.witness and cert.ok:
-        for fac in cert.fac.witnesses.values():
-            m = dd.base.morphisms
-            print(f"(Fac) witness {m[fac.d]} = {m[fac.i]} ; {m[fac.p]}")
+        m = dd.base.morphisms
+        for d, (i, p) in cert.fac.witnesses.items():
+            print(f"(Fac) witness {m[d]} = {m[i]} ; {m[p]}")
     return 0 if cert.ok else 1
 
 

@@ -185,9 +185,6 @@ class FinCategory:
 
     # -- index-level accessors (hot paths) ---------------------------------
 
-    def icompose(self, i: int, j: int) -> int:
-        return self.icomp[(i, j)]
-
     def composable(self, i: int, j: int) -> bool:
         return self.itgt[i] == self.isrc[j]
 

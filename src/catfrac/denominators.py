@@ -11,10 +11,11 @@ category.  The checkers below decide, with explicit witnesses:
     T-member,
 
 and bundle the lot into a single structure report.  The downstream
-constructions replay the witnesses by key, so the report keeps them: the
-index-smallest factorisation of every member of D, and for (WU) the
-generator witnesses plus on-demand lookup of every other pair (searched
-on first lookup, then kept).
+constructions replay the witnesses by key, so the report keeps them as
+plain pairs: the index-smallest factorisation (i, p) of every member of
+D, and for (WU) the completion (f2, i2) of each generator pair plus
+on-demand lookup of every other pair (searched on first lookup, then
+kept).
 """
 
 from __future__ import annotations
@@ -112,31 +113,6 @@ class DenominatorData:
     def certificate(self) -> "AxiomCertificate":
         """Axiom report incl. witness caches; computed once, then reused."""
         return self.keep("certificate", check_uni_fractionable, self)
-
-
-@dataclass(frozen=True)
-class OreWitness:
-    """A completion square from a (WU) search.
-
-    ``kind`` is "pushout-side" (given i in S and f with a common source,
-    completion (f2, i2) with i2 in S, comp(i, f2) == comp(f, i2)) or
-    "pullback-side" (given p in T and f with a common target, completion
-    (f2, p2) with p2 in T, comp(f2, p) == comp(p2, f)).  Corners are
-    object indices in diagram order (shared, tip of given pair, tip of f,
-    completion corner).
-    """
-
-    kind: str
-    given: tuple[int, int]
-    completion: tuple[int, int]
-    corners: tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
-class FactorisationWitness:
-    d: int
-    i: int
-    p: int
 
 
 def is_multiplicative(dd: DenominatorData, which: str = "D"):
@@ -244,7 +220,8 @@ class WUResult:
 
 class CompletionMap(dict):
     """The (WU) witnesses of one side, keyed by (i, f): for each pair the
-    first of :func:`completions`, as an :class:`OreWitness`.
+    first of :func:`completions`, the plain pair (f2, i2).  ``kind``
+    ("pushout-side" or "pullback-side") names the side in failure labels.
 
     Holds the witnesses searched so far.  Looking up any other key runs
     its search then and keeps the witness; KeyError when (i, f) is not a
@@ -257,17 +234,14 @@ class CompletionMap(dict):
         super().__init__()
         self.cat, self.members, self.kind = cat, members, kind
 
-    def search(self, i: int, f: int) -> OreWitness | None:
-        """Find, keep and return the witness for (i, f); None if none."""
-        cat = self.cat
-        found = next(completions(cat, self.members, i, f), None)
-        if found is None:
-            return None
-        corners = (cat.isrc[i], cat.itgt[i], cat.itgt[f], cat.itgt[found[0]])
-        self[(i, f)] = witness = OreWitness(self.kind, (i, f), found, corners)
-        return witness
+    def search(self, i: int, f: int) -> tuple[int, int] | None:
+        """Find, keep and return the completion of (i, f); None if none."""
+        found = next(completions(self.cat, self.members, i, f), None)
+        if found is not None:
+            self[(i, f)] = found
+        return found
 
-    def __missing__(self, key: tuple[int, int]) -> OreWitness:
+    def __missing__(self, key: tuple[int, int]) -> tuple[int, int]:
         i, f = key
         witness = None
         if i in self.members and self.cat.isrc[i] == self.cat.isrc[f]:
@@ -373,23 +347,27 @@ def factorisations(cat: FinCategory, x: int, firsts, seconds):
 
 @dataclass
 class FacResult:
+    """(Fac) verdict: the ids of D with no factorisation, and the pair
+    ``witnesses[d] == (i, p)`` of every d that has one."""
+
     ok: bool
     failures: list[str]
-    witnesses: dict[int, FactorisationWitness]
+    witnesses: dict[int, tuple[int, int]]
 
 
 def check_Fac(dd: DenominatorData) -> FacResult:
     """For every d in D search i in S, p in T with comp(i, p) == d.
 
-    The lexicographically smallest (i, p) by index is cached per d.
+    The lexicographically smallest (i, p) by index is kept per d, as the
+    plain pair: ``witnesses[d] == (i, p)``, in the index order of D.
     """
     cat = dd.base
-    witnesses: dict[int, FactorisationWitness] = {}
+    witnesses: dict[int, tuple[int, int]] = {}
     failures: list[str] = []
     for d in dd.den_sorted:
         found = next(factorisations(cat, d, dd.s_sorted, dd.t_sorted), None)
         if found:
-            witnesses[d] = FactorisationWitness(d, *found)
+            witnesses[d] = found
         else:
             failures.append(cat.morphisms[d])
     return FacResult(not failures, failures, witnesses)

@@ -46,9 +46,9 @@ def strict_composite(
     cert = dd.certificate()
     cat = dd.base
     b2a1 = cat.icomp[(t2.b, t1.a)]
-    fac = cert.fac.witnesses[b2a1]
-    f1p, q1 = cert.wu.pullbacks[(fac.p, t1.f)].completion
-    f2p, j1 = cert.wu.pushouts[(fac.i, t2.f)].completion
+    i, p = cert.fac.witnesses[b2a1]
+    f1p, q1 = cert.wu.pullbacks[(p, t1.f)]
+    f2p, j1 = cert.wu.pushouts[(i, t2.f)]
     return ThreeArrow(
         cat.icomp[(q1, t1.b)],
         cat.icomp[(f1p, f2p)],
@@ -200,9 +200,9 @@ def invert_class(fc: FractionCategory, t: ThreeArrow) -> str:
     check_three_arrow(dd, t)
     if t.f not in dd.iden:
         raise DomainError("middle component is not a denominator")
-    fac = cert.fac.witnesses[t.f]
-    bc, d1c = cert.wu.pushouts[(fac.i, t.b)].completion
-    ac, d2c = cert.wu.pullbacks[(fac.p, t.a)].completion
+    d1, d2 = cert.fac.witnesses[t.f]
+    bc, d1c = cert.wu.pushouts[(d1, t.b)]
+    ac, d2c = cert.wu.pullbacks[(d2, t.a)]
     return fc.partition.class_id(ThreeArrow(d2c, cat.icomp[(ac, bc)], d1c))
 
 
@@ -344,14 +344,14 @@ def st_independence_check(dd1: DenominatorData, dd2: DenominatorData) -> bool:
 
 
 def full_subcategory(dd: DenominatorData, objects: list[str]) -> DenominatorData:
-    """The full subcategory on ``objects`` with restricted D, S, T."""
-    cat = dd.base
-    keep_obj = [x for x in cat.objects if x in set(objects)]
-    keep = [
-        f
-        for f in cat.morphisms
-        if cat.src_of(f) in set(objects) and cat.tgt_of(f) in set(objects)
-    ]
+    """The full subcategory on ``objects`` with restricted D, S, T;
+    DomainError names the first id that is not an object of the base."""
+    cat, inside = dd.base, set(objects)
+    for x in objects:
+        if x not in cat.obj_index:
+            raise DomainError(f"unknown object id {x!r}")
+    keep_obj = [x for x in cat.objects if x in inside]
+    keep = [f for f in cat.morphisms if {cat.src_of(f), cat.tgt_of(f)} <= inside]
     keep_set = set(keep)
     sub = FinCategory(
         f"{dd.name}|{','.join(keep_obj)}",
@@ -421,6 +421,7 @@ def subcategory_equivalence(
         raise DomainError(f"unknown variant {variant!r}")
     if not objects:
         raise DomainError("object subset must be nonempty")
+    sub = full_subcategory(dd, objects)
     inside = set(objects)
     # t-resolution is the s-resolution hypothesis of the opposite, T for S
     if variant == "s-resolution":
@@ -446,7 +447,6 @@ def subcategory_equivalence(
         and cat.objects[cat.itgt[i]] not in inside
     ]
 
-    sub = full_subcategory(dd, objects)
     sub_ok = sub.certificate().ok
     if not sub_ok:
         return SubcategoryReport(

@@ -311,12 +311,11 @@ def normalise(dd: DenominatorData, t: ThreeArrow) -> ThreeArrow:
     cert = require_uni_fractionable(dd)
     check_three_arrow(dd, t)
     cat = dd.base
-    fac_b = cert.fac.witnesses[t.b]
-    f1, i1 = cert.wu.pushouts[(fac_b.i, t.f)].completion
-    ai1 = cat.icomp[(t.a, i1)]
-    fac_ai = cert.fac.witnesses[ai1]
-    f2, q1 = cert.wu.pullbacks[(fac_ai.p, f1)].completion
-    return ThreeArrow(cat.icomp[(q1, fac_b.p)], f2, fac_ai.i)
+    i, p = cert.fac.witnesses[t.b]
+    f1, i1 = cert.wu.pushouts[(i, t.f)]
+    j, q = cert.fac.witnesses[cat.icomp[(t.a, i1)]]
+    f2, q1 = cert.wu.pullbacks[(q, f1)]
+    return ThreeArrow(cat.icomp[(q1, p)], f2, j)
 
 
 def is_normal(dd: DenominatorData, t: ThreeArrow) -> bool:
@@ -353,12 +352,12 @@ def common_denominator(
     if share_p:
         # complete the two T-legs over their common target; the witness for
         # key (n2.b, n1.b) satisfies comp(cf, n2.b) == comp(cp, n1.b), cp in T
-        cf, cp = cert.wu.pullbacks[(n2.b, n1.b)].completion
+        cf, cp = cert.wu.pullbacks[(n2.b, n1.b)]
         b1 = b2 = cat.icomp[(cp, n1.b)]
         f1, f2 = cat.icomp[(cp, f1)], cat.icomp[(cf, f2)]
     if share_i:
         # dually, comp(n1.a, i2c) == comp(n2.a, i1c) with i1c in S
-        i2c, i1c = cert.wu.pushouts[(n1.a, n2.a)].completion
+        i2c, i1c = cert.wu.pushouts[(n1.a, n2.a)]
         a1 = a2 = cat.icomp[(n1.a, i2c)]
         f1, f2 = cat.icomp[(f1, i2c)], cat.icomp[(f2, i1c)]
     return ThreeArrow(b1, f1, a1), ThreeArrow(b2, f2, a2)

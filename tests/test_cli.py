@@ -367,6 +367,37 @@ def test_axioms_pass_output(ch3_file, capsys):
     assert "(WU) PASS" in out and "(Fac) PASS" in out
 
 
+AXIOM_LINES = [
+    f"{name} PASS"
+    for name in (
+        "(Base)", "(Cat)", "(2 of 3)", "(S-mult)", "(T-mult)",
+        "(S<=D)", "(T<=D)", "(WU)", "(Fac)",
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "name, witnesses",
+    [
+        ("CH3", ["m_0_1 = m_0_1 ; i_1", "i_0 = i_0 ; i_0", "i_1 = i_1 ; i_1",
+                 "i_2 = i_2 ; i_2"]),
+        ("DIA-B", ["m_bot_a = m_bot_a ; i_a", "m_bot_b = m_bot_b ; i_b",
+                   "m_bot_top = m_bot_top ; i_top", "m_a_top = m_a_top ; i_top",
+                   "m_b_top = m_b_top ; i_top", "i_bot = i_bot ; i_bot",
+                   "i_a = i_a ; i_a", "i_b = i_b ; i_b", "i_top = i_top ; i_top"]),
+        ("Z4", ["1 = 1 ; 1", "3 = 1 ; 3"]),
+    ],
+)
+def test_axioms_witness_output_is_pinned(name, witnesses, tmp_path, capsys):
+    # one (Fac) line per member of D, in the index order of D, d = i ; p
+    path = str(tmp_path / name)
+    assert run(["instance", name, "-o", path]) == 0
+    capsys.readouterr()
+    assert run(["axioms", path, "--witness"]) == 0
+    lines = AXIOM_LINES + [f"(Fac) witness {line}" for line in witnesses]
+    assert capsys.readouterr() == ("\n".join(lines) + "\n", "")
+
+
 def test_validate_command(ch3_file, capsys):
     assert run(["validate", ch3_file]) == 0
     assert "valid" in capsys.readouterr().out

@@ -119,7 +119,7 @@ def test_opposite_is_a_memoised_involution(name):
     assert op.opposite() is cat
     assert validate_category(op) == []
     for (i, j), k in cat.icomp.items():
-        assert op.icompose(j, i) == k
+        assert op.icomp[(j, i)] == k
     for f in cat.morphisms:
         assert (op.src_of(f), op.tgt_of(f)) == (cat.tgt_of(f), cat.src_of(f))
 

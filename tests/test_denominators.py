@@ -168,12 +168,10 @@ def test_opposite_structure_swaps_s_and_t(name, named):
     assert op.iden == dd.iden
     assert (op.is_, op.it) == (dd.it, dd.is_)
 
-    def untagged(witnesses):
-        return {key: (w.given, w.completion, w.corners) for key, w in witnesses.items()}
-
+    # each side keys the same pairs to the same completions
     result, dual = check_WU(dd), check_WU(op)
-    assert untagged(dual.pullbacks) == untagged(result.pushouts)
-    assert untagged(dual.pushouts) == untagged(result.pullbacks)
+    assert dict(dual.pullbacks) == dict(result.pushouts)
+    assert dict(dual.pushouts) == dict(result.pullbacks)
     swap = {"pushout-side": "pullback-side", "pullback-side": "pushout-side"}
     assert sorted((swap[side], i, f) for side, i, f in dual.failures) == sorted(
         result.failures
@@ -216,12 +214,10 @@ def test_check_wu_witnesses_revalidate(named):
     for name in POSITIVE:
         dd = named[name]
         result = check_WU(dd)
-        for (i, f), wit in result.pushouts.items():
-            f2, i2 = wit.completion
+        for (i, f), (f2, i2) in result.pushouts.items():
             assert i2 in dd.is_
             assert is_weak_pushout(dd.base, (i, f, f2, i2))
-        for (p, f), wit in result.pullbacks.items():
-            f2, p2 = wit.completion
+        for (p, f), (f2, p2) in result.pullbacks.items():
             assert p2 in dd.it
             assert is_weak_pullback(dd.base, (p, f, f2, p2))
 
@@ -311,13 +307,13 @@ def test_check_fac_examples(named):
     dd = named["CH3"]
     result = check_Fac(dd)
     assert result.ok
-    wit = result.witnesses[dd.base.mor_index["m_0_1"]]
+    i, p = result.witnesses[dd.base.mor_index["m_0_1"]]
     m = dd.base.morphisms
-    assert (m[wit.i], m[wit.p]) == ("m_0_1", "i_1")
+    assert (m[i], m[p]) == ("m_0_1", "i_1")
     # identity factor whenever d itself is in S
-    for d, w in result.witnesses.items():
-        assert dd.base.icomp[(w.i, w.p)] == d
-        assert w.i in dd.is_ and w.p in dd.it
+    for d, (i, p) in result.witnesses.items():
+        assert dd.base.icomp[(i, p)] == d
+        assert i in dd.is_ and p in dd.it
 
 
 def test_check_fac_fails_without_nonidentity_parts():

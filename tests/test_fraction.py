@@ -861,6 +861,16 @@ def test_subcategory_equivalence_ch3_fails_hypothesis(named):
     assert not report.equivalence
 
 
+@pytest.mark.parametrize("objects", (["nope"], ["0", "nope"]))
+def test_unknown_subcategory_objects_are_domain_errors(objects, named):
+    # named, never a bare KeyError and never an empty subcategory
+    with pytest.raises(DomainError, match="unknown object id 'nope'"):
+        full_subcategory(named["CH3"], objects)
+    for variant in ("s-resolution", "t-resolution"):
+        with pytest.raises(DomainError, match="unknown object id 'nope'"):
+            subcategory_equivalence(named["CH3"], objects, variant)
+
+
 def test_subcategory_equivalence_all_objects_is_trivial(named):
     report = subcategory_equivalence(
         named["CH3"], list(named["CH3"].base.objects), "s-resolution"
